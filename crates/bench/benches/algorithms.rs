@@ -1,5 +1,5 @@
-//! Timing benches of the assignment algorithms themselves: LP-HTA (both
-//! LP backends, with and without the exact fast path), the comparators,
+//! Timing benches of the assignment algorithms themselves: LP-HTA (with
+//! and without the exact fast path), the comparators,
 //! the exact branch-and-bound, and the DTA divisions.
 //!
 //! Plain `harness = false` binary on [`mec_bench::timing`]; filter cases
@@ -7,8 +7,7 @@
 
 use dsmec_core::costs::CostTable;
 use dsmec_core::dta::{divide_balanced, divide_min_devices, run_dta, DtaConfig};
-use dsmec_core::hta::{AllOffload, ExactBnB, Hgos, HtaAlgorithm, LpHta, RoundingRule};
-use linprog::Solver;
+use dsmec_core::hta::{AllOffload, ExactBnB, Hgos, HtaAlgorithm, LpHta};
 use mec_bench::timing::Harness;
 use mec_sim::workload::{DivisibleScenarioConfig, ScenarioConfig};
 
@@ -27,17 +26,9 @@ fn bench_lp_hta(h: &mut Harness) {
         h.bench(&format!("lp_hta/paper/{tasks}"), || {
             paper.assign(&s.system, &s.tasks, &costs).unwrap()
         });
-        let ipm = LpHta::paper().without_fast_path();
-        h.bench(&format!("lp_hta/full_ipm/{tasks}"), || {
-            ipm.assign(&s.system, &s.tasks, &costs).unwrap()
-        });
-        let simplex = LpHta {
-            solver: Solver::Simplex,
-            rounding: RoundingRule::ArgMax,
-            ..LpHta::paper().without_fast_path()
-        };
-        h.bench(&format!("lp_hta/full_simplex/{tasks}"), || {
-            simplex.assign(&s.system, &s.tasks, &costs).unwrap()
+        let full = LpHta::paper().without_fast_path();
+        h.bench(&format!("lp_hta/full/{tasks}"), || {
+            full.assign(&s.system, &s.tasks, &costs).unwrap()
         });
     }
 }

@@ -1,13 +1,14 @@
-//! Timing benches of the substrates: the LP solvers on growing problem
-//! sizes, the data-sharing bitset, the cost model and the discrete-event
-//! executor.
+//! Timing benches of the substrates: the production LP backend and the
+//! dense simplex oracle on growing problem sizes, the data-sharing bitset,
+//! the cost model and the discrete-event executor.
 //!
 //! Plain `harness = false` binary on [`mec_bench::timing`]; filter cases
 //! with `cargo bench --bench substrate -- <substring>`.
 
 use dsmec_core::costs::CostTable;
 use dsmec_core::hta::HtaAlgorithm;
-use linprog::{solve, ConstraintSense, LpProblem, Solver};
+use linprog::simplex::solve_simplex;
+use linprog::{solve, ConstraintSense, LpProblem};
 use mec_bench::timing::Harness;
 use mec_sim::data::{DataItemId, ItemSet};
 use mec_sim::sim::{simulate, Contention};
@@ -53,11 +54,9 @@ fn synthetic_lp(rows: usize) -> LpProblem {
 fn bench_linprog(h: &mut Harness) {
     for rows in [20usize, 60, 120] {
         let lp = synthetic_lp(rows);
-        h.bench(&format!("linprog/interior_point/{rows}"), || {
-            solve(&lp, Solver::InteriorPoint).unwrap()
-        });
+        h.bench(&format!("linprog/revised/{rows}"), || solve(&lp).unwrap());
         h.bench(&format!("linprog/simplex/{rows}"), || {
-            solve(&lp, Solver::Simplex).unwrap()
+            solve_simplex(&lp).unwrap()
         });
     }
 }

@@ -439,7 +439,7 @@ fn dispatch(
             eprintln!("            span's total time regressed past RATIO; --floor sets");
             eprintln!("            per-prefix noise floors (longest matching prefix wins)");
             eprintln!("global flags:");
-            eprintln!("  --threads N  worker threads for the LP kernels (0 = auto)");
+            eprintln!("  --threads N  worker threads for sweeps, pricing and serve's cluster LPs (0 = auto)");
             eprintln!("  --trace P    write an mec-obs trace JSON with flight-recorder");
             eprintln!("               events (schema v2, DESIGN.md §7)");
             eprintln!("environment:");

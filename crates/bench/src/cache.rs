@@ -8,7 +8,7 @@
 //! * **LP relaxation** — the rounding ablation (and any caller of
 //!   [`dsmec_core::hta::LpHta::round_with`]) re-solves the identical
 //!   relaxed LP for every rounding rule; the relaxation cache keys on
-//!   `(config hash, solver, lp_cluster_limit)` so the LP is solved once.
+//!   `(config hash, lp_cluster_limit)` so the LP is solved once.
 //!
 //! Keys are FNV-1a hashes of the *serialized* configuration (the seed is a
 //! config field, so `(config, seed)` pairs hash distinctly). Since scenario
@@ -24,7 +24,6 @@
 use dsmec_core::costs::CostTable;
 use dsmec_core::error::AssignError;
 use dsmec_core::hta::{FractionalSolution, LpHta};
-use linprog::Solver;
 use mec_sim::workload::{Scenario, ScenarioConfig};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,7 +52,7 @@ pub struct CachedScenario {
 }
 
 type ScenarioMap = HashMap<u64, Arc<CachedScenario>>;
-type RelaxationMap = HashMap<(u64, u8, usize), Arc<FractionalSolution>>;
+type RelaxationMap = HashMap<(u64, usize), Arc<FractionalSolution>>;
 
 static SCENARIOS: OnceLock<Mutex<ScenarioMap>> = OnceLock::new();
 static RELAXATIONS: OnceLock<Mutex<RelaxationMap>> = OnceLock::new();
@@ -151,16 +150,8 @@ pub fn scenario_with_costs(cfg: &ScenarioConfig) -> Result<Arc<CachedScenario>, 
     Ok(Arc::clone(guard.entry(key).or_insert(built)))
 }
 
-fn solver_tag(solver: Solver) -> u8 {
-    match solver {
-        Solver::InteriorPoint => 0,
-        Solver::Simplex => 1,
-        Solver::Revised => 2,
-    }
-}
-
 /// The LP-relaxation (Steps 1–2) of LP-HTA on `cfg`'s scenario, solved
-/// once per `(config, solver, lp_cluster_limit)` and shared across
+/// once per `(config, lp_cluster_limit)` and shared across
 /// rounding rules. `cached` must be the scenario for `cfg` (normally the
 /// value returned by [`scenario_with_costs`]).
 ///
@@ -172,11 +163,7 @@ pub fn lp_relaxation(
     algo: &LpHta,
     cached: &CachedScenario,
 ) -> Result<Arc<FractionalSolution>, AssignError> {
-    let key = (
-        config_key(cfg)?,
-        solver_tag(algo.solver),
-        algo.lp_cluster_limit,
-    );
+    let key = (config_key(cfg)?, algo.lp_cluster_limit);
     let map = RELAXATIONS.get_or_init(Default::default);
     if let Some(hit) = lock(map).get(&key) {
         LP_HITS.fetch_add(1, Ordering::Relaxed);

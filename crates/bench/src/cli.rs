@@ -98,10 +98,9 @@ impl fmt::Display for AlgorithmName {
 }
 
 /// Parses and applies the shared `--threads N` flag: sets the worker count
-/// for both the sweep engine and the linprog dense kernels, returning the
-/// effective count. `0` restores the default resolution (the
-/// `DSMEC_THREADS` environment variable, then the machine's available
-/// parallelism).
+/// of the one thread pool ([`crate::par`]), returning the effective count.
+/// `0` restores the default resolution (the `DSMEC_THREADS` environment
+/// variable, then the machine's available parallelism).
 ///
 /// # Errors
 ///

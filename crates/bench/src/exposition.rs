@@ -16,15 +16,16 @@
 //!    fixture and the CI scrape check.
 //! 3. [`MetricsServer`] answers `GET /metrics` from a
 //!    `std::net::TcpListener` thread with a hand-rolled request-line
-//!    parser — no HTTP library. The body is a mutex-swapped `Arc<String>`
-//!    the serve loop republishes each epoch; shutdown flips a flag and
-//!    self-connects to unblock the blocking `accept`.
+//!    parser — no HTTP library — that reads at most 8 KiB of request
+//!    head and answers `431` past it. The body is a mutex-swapped
+//!    `Arc<String>` the serve loop republishes each epoch; shutdown flips
+//!    a flag and self-connects to unblock the blocking `accept`.
 
 use mec_obs::IntervalSnapshot;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -384,45 +385,74 @@ impl Drop for MetricsServer {
     }
 }
 
+/// Cap on the request line plus headers. A scrape request is well under
+/// 1 KiB; a longer head is refused with `431` instead of being buffered.
+const MAX_REQUEST_HEAD: u64 = 8 * 1024;
+
+/// How much of a refused request is read and discarded after the `431`:
+/// closing a socket with unread input resets the connection, which can
+/// destroy the response before the client reads it.
+const MAX_DISCARD: u64 = 4 * 1024 * 1024;
+
 /// Reads one request, answers it, closes the connection. The hand-rolled
 /// parser reads the request line (`GET /metrics HTTP/1.1`), drains
-/// headers to the blank line, and ignores everything else.
+/// headers to the blank line, and ignores everything else. At most
+/// [`MAX_REQUEST_HEAD`] bytes are read; a head that does not end within
+/// them gets `431 Request Header Fields Too Large`.
 fn serve_connection(stream: TcpStream, body: &str) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new((&stream).take(MAX_REQUEST_HEAD));
     let mut request_line = String::new();
     reader.read_line(&mut request_line)?;
     let mut parts = request_line.split_ascii_whitespace();
     let method = parts.next().unwrap_or("");
     let path = parts.next().unwrap_or("");
     // Drain headers so well-behaved clients see a clean close.
+    let mut terminated = false;
     let mut header = String::new();
     loop {
         header.clear();
-        let n = reader.read_line(&mut header)?;
-        if n == 0 || header.trim().is_empty() {
+        if reader.read_line(&mut header)? == 0 {
+            break;
+        }
+        if header.trim().is_empty() {
+            terminated = true;
             break;
         }
     }
-    let mut stream = reader.into_inner();
-    if method == "GET" && (path == "/metrics" || path.starts_with("/metrics?")) {
-        write!(
-            stream,
-            "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
-             Content-Length: {}\r\nConnection: close\r\n\r\n{}",
-            body.len(),
-            body
+    if !terminated && reader.get_ref().limit() == 0 {
+        respond(
+            &stream,
+            "431 Request Header Fields Too Large",
+            "text/plain",
+            "request header fields too large\n",
         )?;
-    } else {
-        let msg = "not found\n";
-        write!(
-            stream,
-            "HTTP/1.1 404 Not Found\r\nContent-Type: text/plain\r\n\
-             Content-Length: {}\r\nConnection: close\r\n\r\n{}",
-            msg.len(),
-            msg
-        )?;
+        stream.shutdown(Shutdown::Write)?;
+        // Best effort: a client that keeps sending past the discard cap
+        // or stalls past the read timeout just gets the connection closed.
+        let _ = std::io::copy(&mut (&stream).take(MAX_DISCARD), &mut std::io::sink());
+        return Ok(());
     }
+    if method == "GET" && (path == "/metrics" || path.starts_with("/metrics?")) {
+        respond(&stream, "200 OK", "text/plain; version=0.0.4", body)
+    } else {
+        respond(&stream, "404 Not Found", "text/plain", "not found\n")
+    }
+}
+
+/// Writes one complete `Connection: close` response.
+fn respond(
+    mut stream: &TcpStream,
+    status: &str,
+    content_type: &str,
+    body: &str,
+) -> std::io::Result<()> {
+    write!(
+        stream,
+        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\n\
+         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    )?;
     stream.flush()
 }
 
@@ -587,5 +617,27 @@ mod tests {
         server.shutdown();
         // The port is closed (or at least no longer answering /metrics).
         assert!(http_get(&addr, "/metrics", Duration::from_millis(500)).is_err());
+    }
+
+    /// A request line that never ends is refused after the head cap
+    /// instead of being buffered whole, and the listener keeps serving.
+    #[test]
+    fn unbounded_request_line_gets_431_and_the_listener_survives() {
+        let server = MetricsServer::bind("127.0.0.1:0").unwrap();
+        let addr = server.addr().to_string();
+        server.publish(render_exposition(&window()));
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        stream.write_all(&vec![b'A'; 1 << 20]).unwrap();
+        stream.shutdown(Shutdown::Write).unwrap();
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).unwrap();
+        assert!(raw.starts_with("HTTP/1.1 431 "), "{raw}");
+
+        let (status, _) = http_get(&addr, "/metrics", Duration::from_secs(2)).unwrap();
+        assert_eq!(status, 200);
+        server.shutdown();
     }
 }

@@ -11,16 +11,16 @@
 //!   of tearing down the process, and aborts remaining work after the
 //!   first failure.
 //!
-//! The worker count is the workspace-wide setting shared with the dense
-//! LP kernels; see [`set_threads`]/[`threads`] (resolution order: explicit
-//! `set_threads`, the `DSMEC_THREADS` environment variable, then the
-//! machine's available parallelism).
+//! This is the workspace's one thread pool: the LP solver is serial, so
+//! [`set_threads`]/[`threads`] size every parallel region there is
+//! (resolution order: explicit `set_threads`, the `DSMEC_THREADS`
+//! environment variable, then the machine's available parallelism).
 
 use dsmec_core::error::AssignError;
 use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Minimum projected *remaining* work (ns) before a map spawns worker
@@ -46,15 +46,38 @@ fn lock_failure<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Sets the worker-thread count for both the sweep engine and the linprog
-/// dense kernels. `0` restores the default resolution.
-pub fn set_threads(n: usize) {
-    linprog::set_threads(n);
+/// 0 = "not explicitly configured": fall back to the environment / CPU.
+static THREADS: AtomicUsize = AtomicUsize::new(0);
+
+/// `DSMEC_THREADS` (a positive integer; `0` counts as 1, anything
+/// unparsable is ignored), else the machine's available parallelism.
+/// Resolved once per process.
+fn default_threads() -> usize {
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT.get_or_init(|| {
+        if let Ok(v) = std::env::var("DSMEC_THREADS") {
+            if let Ok(n) = v.trim().parse::<usize>() {
+                return n.max(1);
+            }
+        }
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
+    })
 }
 
-/// The worker-thread count the sweep engine will use.
+/// Sets the worker-thread count of the parallel maps. `0` restores the
+/// default resolution.
+pub fn set_threads(n: usize) {
+    THREADS.store(n, Ordering::Relaxed);
+}
+
+/// The worker-thread count the parallel maps will use.
 pub fn threads() -> usize {
-    linprog::threads()
+    match THREADS.load(Ordering::Relaxed) {
+        0 => default_threads(),
+        n => n,
+    }
 }
 
 /// Converts a worker panic's message into the caller's error type, so
@@ -444,11 +467,47 @@ mod tests {
     }
 
     #[test]
-    fn thread_setting_round_trips_through_linprog() {
+    fn thread_config_round_trips() {
         let _guard = THREADS_TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        set_threads(3);
+        assert_eq!(threads(), 3);
+        set_threads(0); // restore default resolution
+        assert_eq!(threads(), default_threads());
+        assert!(threads() >= 1);
+    }
+
+    /// The thread count lives here, not in `linprog`: a batch of LP solves
+    /// fanned out with `par_map` leaves the setting intact, and its results
+    /// are bit-identical for any thread count.
+    #[test]
+    fn thread_setting_round_trips_through_linprog() {
+        use linprog::{ConstraintSense, LpProblem};
+        let _guard = THREADS_TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let caps: Vec<f64> = (1..=8).map(|k| k as f64 * 0.75).collect();
+        let solve_all = || {
+            par_map(&caps, |&cap| {
+                // minimize -x - 2y  subject to  x + y <= cap,  0 <= x,y <= 3
+                let mut lp = LpProblem::new(2);
+                lp.set_objective(vec![-1.0, -2.0]).unwrap();
+                lp.add_constraint(vec![(0, 1.0), (1, 1.0)], ConstraintSense::Le, cap)
+                    .unwrap();
+                lp.set_bounds(0, 0.0, 3.0).unwrap();
+                lp.set_bounds(1, 0.0, 3.0).unwrap();
+                let sol = linprog::solve(&lp).unwrap();
+                assert!(sol.is_optimal());
+                (
+                    sol.objective.to_bits(),
+                    sol.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                )
+            })
+        };
         set_threads(2);
         assert_eq!(threads(), 2);
-        assert_eq!(linprog::threads(), 2);
+        let two = solve_all();
+        assert_eq!(threads(), 2, "solving must not disturb the thread setting");
+        set_threads(1);
+        assert_eq!(threads(), 1);
+        assert_eq!(solve_all(), two);
         set_threads(0);
         assert!(threads() >= 1);
     }

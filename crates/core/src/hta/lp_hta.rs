@@ -1,8 +1,10 @@
 //! **LP-HTA** — the paper's Section III.A algorithm, all six steps:
 //!
-//! 1. solve the relaxed LP `P2` of every cluster (sparse revised simplex
-//!    by default — the HTA matrix is extremely sparse; the paper's
-//!    interior-point backend remains available as an ablation);
+//! 1. solve the relaxed LP `P2` of every cluster with the sparse revised
+//!    simplex (`linprog::solve_from`) — the HTA matrix is extremely
+//!    sparse; the paper cites Karmarkar's interior-point method only for
+//!    polynomial solvability, and any exact LP solver reaches the same
+//!    optimum;
 //! 2. reshape the solution into the fractional matrix `X`;
 //! 3. round every task to its largest fractional component;
 //! 4. repair deadline violations by moving to the feasible site with the
@@ -21,7 +23,7 @@ use crate::error::AssignError;
 use crate::hta::relaxation::build_cluster_relaxation;
 use crate::hta::{cluster_task_indices, HtaAlgorithm};
 use detrand::ChaCha8Rng;
-use linprog::{solve, Basis, LpStatus, Solver};
+use linprog::{Basis, LpStatus};
 use mec_sim::task::{ExecutionSite, HolisticTask, TaskId};
 use mec_sim::topology::{MecSystem, StationId};
 use mec_sim::units::Bytes;
@@ -101,9 +103,7 @@ pub struct FractionalSolution {
 /// optimal basis is usually still feasible and the solver can skip
 /// phase 1 entirely. Feed one `WarmBases` through a chain of
 /// [`LpHta::assign_with_report_warm`] calls; it records hit statistics
-/// as it goes. Only the [`Solver::Revised`] backend consumes bases —
-/// with any other backend the warm entry points behave exactly like
-/// their cold counterparts.
+/// as it goes.
 #[derive(Debug, Clone, Default)]
 pub struct WarmBases {
     bases: HashMap<StationId, Basis>,
@@ -187,11 +187,11 @@ pub struct ClusterSolve {
     pub iterations: usize,
 }
 
-/// The LP-HTA algorithm with a configurable LP backend and rounding rule.
+/// The LP-HTA algorithm with a configurable rounding rule. Step 1 always
+/// runs the sparse revised simplex (`linprog::solve_from`), which falls
+/// back to the dense simplex on numerical failure.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LpHta {
-    /// LP backend for Step 1.
-    pub solver: Solver,
     /// Rounding rule for Step 3.
     pub rounding: RoundingRule,
     /// Enables the provably exact greedy fast path: when every task's
@@ -199,7 +199,7 @@ pub struct LpHta {
     /// tasks satisfies C2/C3, that assignment attains the per-task lower
     /// bound `Σ min_l E_ijl` and is therefore optimal — no LP needed.
     /// Instances under capacity or deadline pressure still take the full
-    /// six-step LP path. Disable for the LP-backend ablation.
+    /// six-step LP path. Disable to force Step 1 on every instance.
     pub fast_path: bool,
     /// Scalability guard: clusters with more tasks than this skip the
     /// dense LP (whose normal equations grow cubically) and seed Steps
@@ -217,15 +217,11 @@ impl Default for LpHta {
 }
 
 impl LpHta {
-    /// LP-HTA as the paper states it, on the production backend: sparse
-    /// revised-simplex Step 1 (the relaxation matrix is block-angular and
-    /// extremely sparse), arg-max Step 3, exact fast path enabled. The
-    /// paper's own interior-point backend is the `solver:
-    /// Solver::InteriorPoint` ablation; all backends agree on the optimum
-    /// within the differential-test tolerance.
+    /// LP-HTA as the paper states it: sparse revised-simplex Step 1 (the
+    /// relaxation matrix is block-angular and extremely sparse), arg-max
+    /// Step 3, exact fast path enabled.
     pub fn paper() -> LpHta {
         LpHta {
-            solver: Solver::Revised,
             rounding: RoundingRule::ArgMax,
             fast_path: true,
             lp_cluster_limit: 600,
@@ -351,10 +347,10 @@ impl LpHta {
 
     /// Like [`Self::assign_with_report`], but threads a [`WarmBases`]
     /// chain through Step 1 so adjacent solves reuse each other's optimal
-    /// bases. With an empty chain (or a non-[`Solver::Revised`] backend)
-    /// this is behaviorally identical to the cold entry point; warm hits
-    /// may land on a different optimal vertex of a degenerate relaxation,
-    /// which changes nothing about the optimum or the certificates.
+    /// bases. With an empty chain this is behaviorally identical to the
+    /// cold entry point; warm hits may land on a different optimal vertex
+    /// of a degenerate relaxation, which changes nothing about the optimum
+    /// or the certificates.
     ///
     /// # Errors
     ///
@@ -385,7 +381,7 @@ impl LpHta {
 
     /// Steps 1–2: solves every cluster's relaxed LP (or seeds oversized
     /// clusters greedily) and returns the fractional matrices. The result
-    /// depends on `solver`, `lp_cluster_limit` and the instance — not on
+    /// depends on `lp_cluster_limit` and the instance — not on
     /// the rounding rule — so it can be cached and fed to [`Self::round_with`]
     /// under several rounding rules.
     ///
@@ -439,13 +435,10 @@ impl LpHta {
             lp_iterations: 0,
         };
         for (station, idxs) in cluster_task_indices(system, tasks)? {
-            // Offer the chain's basis when the backend consumes one; the
-            // immutable borrow must end before the store is updated below.
+            // Offer the chain's basis; the immutable borrow must end
+            // before the store is updated below.
             let (solved, attempted) = {
-                let prev = match (&warm, self.solver) {
-                    (Some(store), Solver::Revised) => store.bases.get(&station),
-                    _ => None,
-                };
+                let prev = warm.as_ref().and_then(|store| store.bases.get(&station));
                 let attempted = prev.is_some();
                 (
                     self.solve_cluster(system, tasks, costs, station, &idxs, prev)?,
@@ -489,9 +482,9 @@ impl LpHta {
     }
 
     /// Steps 1–2 for a single cluster: builds and solves `station`'s
-    /// relaxation — warm-started from `prev` on the [`Solver::Revised`]
-    /// backend — or seeds it greedily past `lp_cluster_limit`. Returns
-    /// `None` for clusters with no tasks or no solvable relaxation.
+    /// relaxation — warm-started from `prev` — or seeds it greedily past
+    /// `lp_cluster_limit`. Returns `None` for clusters with no tasks or no
+    /// solvable relaxation.
     ///
     /// Pure with respect to chain state: the caller owns basis storage
     /// (see [`WarmBases`]), which is what lets the serve loop run one
@@ -558,17 +551,11 @@ impl LpHta {
         let Some(rel) = build_cluster_relaxation(system, tasks, costs, station, idxs)? else {
             return Ok(None);
         };
-        // Step 1: solve the relaxation. `solve_from(_, None)` and
-        // `solve(_, Revised)` share the same path (revised solve, dense
-        // fallback), so threading the warm option through changes nothing
-        // for cold solves.
-        let (sol, basis, warm_used, warm_rejected) = if self.solver == Solver::Revised {
-            let outcome = linprog::solve_from(&rel.lp, prev)?;
-            let rejected = outcome.warm_rejection.is_some();
-            (outcome.solution, outcome.basis, outcome.warm_used, rejected)
-        } else {
-            (solve(&rel.lp, self.solver)?, None, false, false)
-        };
+        // Step 1: solve the relaxation (revised simplex, dense fallback);
+        // a cold solve is `solve_from(_, None)`.
+        let outcome = linprog::solve_from(&rel.lp, prev)?;
+        let warm_rejected = outcome.warm_rejection.is_some();
+        let (sol, basis, warm_used) = (outcome.solution, outcome.basis, outcome.warm_used);
         let iterations = sol.iterations;
         // Step 2: the fractional matrix X. If the LP could not be
         // solved to optimality (pathological custom instances), fall
@@ -1001,24 +988,32 @@ mod tests {
     }
 
     #[test]
-    fn simplex_and_interior_point_agree_on_energy() {
+    fn revised_cluster_objectives_match_the_dense_oracle() {
         let s = ScenarioConfig::paper_defaults(5).generate().unwrap();
         let costs = CostTable::build(&s.system, &s.tasks).unwrap();
-        let ipm = LpHta::paper().without_fast_path();
-        let spx = LpHta {
-            solver: Solver::Simplex,
-            rounding: RoundingRule::ArgMax,
-            ..LpHta::paper().without_fast_path()
-        };
-        let (_, r1) = ipm.assign_with_report(&s.system, &s.tasks, &costs).unwrap();
-        let (_, r2) = spx.assign_with_report(&s.system, &s.tasks, &costs).unwrap();
-        let scale = 1.0 + r2.lp_objective.abs();
-        assert!(
-            (r1.lp_objective - r2.lp_objective).abs() < 1e-4 * scale,
-            "LP optima differ: {} vs {}",
-            r1.lp_objective,
-            r2.lp_objective
-        );
+        let algo = LpHta::paper().without_fast_path();
+        let frac = algo.solve_relaxation(&s.system, &s.tasks, &costs).unwrap();
+        let mut oracle_total = 0.0;
+        for (station, idxs) in cluster_task_indices(&s.system, &s.tasks).unwrap() {
+            let cs = algo
+                .solve_cluster(&s.system, &s.tasks, &costs, station, &idxs, None)
+                .unwrap()
+                .expect("every paper cluster has tasks");
+            let rel = build_cluster_relaxation(&s.system, &s.tasks, &costs, station, &idxs)
+                .unwrap()
+                .unwrap();
+            let dense = linprog::simplex::solve_simplex(&rel.lp).unwrap();
+            assert_eq!(dense.status, LpStatus::Optimal, "cluster {station}");
+            let scale = 1.0 + dense.objective.abs();
+            assert!(
+                (cs.objective - dense.objective).abs() < 1e-6 * scale,
+                "cluster {station}: revised {} vs dense {}",
+                cs.objective,
+                dense.objective
+            );
+            oracle_total += dense.objective;
+        }
+        assert!((frac.lp_objective - oracle_total).abs() < 1e-6 * (1.0 + oracle_total.abs()));
     }
 
     #[test]
@@ -1026,7 +1021,6 @@ mod tests {
         let s = ScenarioConfig::paper_defaults(6).generate().unwrap();
         let costs = CostTable::build(&s.system, &s.tasks).unwrap();
         let algo = LpHta {
-            solver: Solver::Simplex,
             rounding: RoundingRule::Randomized { seed: 99 },
             ..LpHta::paper().without_fast_path()
         };

@@ -71,7 +71,7 @@ pub fn station_capacity_prices(
             out.push((station, 0.0));
             continue;
         };
-        let sol = linprog::solve(&rel.lp, linprog::Solver::Simplex)?;
+        let sol = linprog::solve(&rel.lp)?;
         let price = rel
             .station_capacity_price(sol.duals.as_deref())
             .unwrap_or(0.0);
@@ -197,7 +197,8 @@ pub fn build_cluster_relaxation(
 mod tests {
     use super::*;
     use crate::hta::cluster_task_indices;
-    use linprog::{solve, LpStatus, Solver};
+    use linprog::simplex::solve_simplex;
+    use linprog::LpStatus;
     use mec_sim::workload::ScenarioConfig;
 
     fn setup() -> (mec_sim::workload::Scenario, CostTable) {
@@ -237,7 +238,7 @@ mod tests {
             else {
                 continue;
             };
-            let sol = solve(&rel.lp, Solver::Simplex).unwrap();
+            let sol = solve_simplex(&rel.lp).unwrap();
             assert_eq!(sol.status, LpStatus::Optimal, "cluster {st}");
             // Fractions form a distribution per task.
             let x = rel.fractional_matrix(&sol.x);
@@ -257,7 +258,7 @@ mod tests {
         let rel = build_cluster_relaxation(&s.system, &s.tasks, &costs, *st, idxs)
             .unwrap()
             .unwrap();
-        let sol = solve(&rel.lp, Solver::Simplex).unwrap();
+        let sol = solve_simplex(&rel.lp).unwrap();
         // The all-cloud integral point is feasible for the relaxation
         // (cloud is uncapacitated and every generated deadline admits at
         // least its fastest site... cloud may be infeasible for tight

@@ -1,5 +1,6 @@
 //! A tour of the LP substrate on its own: model a small problem, solve it
-//! with both backends, inspect duals, round-trip through MPS, presolve.
+//! with the revised simplex and the dense oracle, inspect duals,
+//! round-trip through MPS, presolve.
 //!
 //! Run with:
 //!
@@ -9,7 +10,8 @@
 
 use linprog::mps::{parse_mps, write_mps};
 use linprog::presolve::presolve_and_solve;
-use linprog::{solve, ConstraintSense, LpProblem, Solver};
+use linprog::simplex::solve_simplex;
+use linprog::{solve, ConstraintSense, LpProblem};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A tiny production-planning LP:
@@ -21,8 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     lp.add_constraint(vec![(1, 2.0)], ConstraintSense::Le, 12.0)?;
     lp.add_constraint(vec![(0, 3.0), (1, 2.0)], ConstraintSense::Le, 18.0)?;
 
-    for solver in [Solver::Simplex, Solver::InteriorPoint] {
-        let sol = solve(&lp, solver)?;
+    for (solver, sol) in [("revised", solve(&lp)?), ("dense", solve_simplex(&lp)?)] {
         println!(
             "{solver:<15} objective {:8.4}  x = ({:.4}, {:.4})  [{} iterations]",
             -sol.objective, sol.x[0], sol.x[1], sol.iterations
@@ -43,14 +44,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let text = write_mps(&lp, "PLAN");
     println!("\nMPS form:\n{text}");
     let parsed = parse_mps(&text)?;
-    let again = solve(&parsed, Solver::Simplex)?;
-    assert!((again.objective - solve(&lp, Solver::Simplex)?.objective).abs() < 1e-9);
+    let again = solve(&parsed)?;
+    assert!((again.objective - solve(&lp)?.objective).abs() < 1e-9);
     println!("MPS round trip preserves the optimum ✓");
 
     // Presolve shortcuts fixed variables.
     let mut fixed = lp.clone();
     fixed.set_bounds(0, 2.0, 2.0)?;
-    let pre = presolve_and_solve(&fixed, Solver::Simplex)?;
+    let pre = presolve_and_solve(&fixed)?;
     println!("with x fixed at 2: objective {:.4}", -pre.objective);
     Ok(())
 }

@@ -1,25 +1,30 @@
 //! # linprog — a linear-programming substrate
 //!
 //! Self-contained LP solvers backing the LP-HTA task-assignment algorithm
-//! of the Data-Shared MEC reproduction. Three interchangeable backends
-//! solve the same [`LpProblem`]:
+//! of the Data-Shared MEC reproduction. One production backend solves
+//! every [`LpProblem`]:
 //!
-//! * [`revised::solve_revised`] — sparse revised simplex over a CSC
-//!   matrix ([`sparse::CscMatrix`]) with an LU-factored basis extended by
-//!   a product-form eta file ([`basis::BasisFactor`]); supports warm
-//!   starts from a previous [`Basis`] via [`solve_from`] (the default for
-//!   LP-HTA, whose constraint matrix is extremely sparse);
-//! * [`simplex::solve_simplex`] — two-phase dense simplex with bounded
-//!   variables (exact vertex solutions; used as the reference oracle);
-//! * [`interior::solve_interior_point`] — Mehrotra predictor–corrector
-//!   primal–dual interior-point method (the paper's Step 1 cites
-//!   Karmarkar's interior-point algorithm).
+//! * [`solve`] / [`solve_from`] run [`revised::solve_revised_from`] — a
+//!   sparse revised simplex over a CSC matrix ([`sparse::CscMatrix`])
+//!   with an LU-factored basis extended by a product-form eta file
+//!   ([`basis::BasisFactor`]), warm-startable from a previous [`Basis`];
+//! * [`simplex::solve_simplex`] — the two-phase dense simplex with
+//!   bounded variables — is their numerical fallback and the reference
+//!   oracle the tests compare against.
+//!
+//! The paper's Step 1 cites Karmarkar's interior-point method only to
+//! show the relaxation is solvable in polynomial time; any exact LP
+//! solver yields the same optimum, and the simplex is the one that pays
+//! on the block-angular, extremely sparse HTA relaxation.
+//!
+//! Every kernel is serial: parallelism lives one level up, across
+//! independent LPs (one per cluster), so a solve is bit-deterministic.
 //!
 //! Problems are stated as minimization with row constraints of any sense
 //! and per-variable bounds:
 //!
 //! ```
-//! use linprog::{LpProblem, ConstraintSense, Solver, solve};
+//! use linprog::{LpProblem, ConstraintSense, solve, simplex};
 //!
 //! // minimize -x - 2y  subject to  x + y <= 4,  0 <= x,y <= 3
 //! let mut lp = LpProblem::new(2);
@@ -28,9 +33,11 @@
 //! lp.set_bounds(0, 0.0, 3.0)?;
 //! lp.set_bounds(1, 0.0, 3.0)?;
 //!
-//! let sol = solve(&lp, Solver::InteriorPoint)?;
+//! let sol = solve(&lp)?;
 //! assert!(sol.is_optimal());
 //! assert!((sol.objective - (-7.0)).abs() < 1e-6);
+//! // The dense oracle agrees.
+//! assert!((simplex::solve_simplex(&lp)?.objective - sol.objective).abs() < 1e-9);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -39,15 +46,14 @@
 // deliberate NaN catches.
 #![allow(clippy::needless_range_loop)]
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod basis;
 pub mod error;
-pub mod interior;
 pub mod matrix;
 pub mod mps;
-pub mod par;
 pub mod presolve;
 pub mod problem;
 pub mod revised;
@@ -56,61 +62,18 @@ pub mod sparse;
 pub mod standard;
 
 pub use error::LpError;
-pub use par::{set_threads, threads};
 pub use problem::{Bounds, Constraint, ConstraintSense, LpProblem, LpSolution, LpStatus};
 pub use revised::{Basis, BasisVarStatus, SolveOutcome};
 
-/// Which backend to use for a solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Solver {
-    /// Mehrotra predictor–corrector interior-point method (default; what
-    /// the paper's Step 1 prescribes).
-    #[default]
-    InteriorPoint,
-    /// Two-phase dense simplex with bounded variables.
-    Simplex,
-    /// Sparse revised simplex (LU-factored basis, eta updates, warm
-    /// starts). Falls back to the dense simplex on numerical failure.
-    Revised,
-}
-
-impl std::fmt::Display for Solver {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Solver::InteriorPoint => f.write_str("interior-point"),
-            Solver::Simplex => f.write_str("simplex"),
-            Solver::Revised => f.write_str("revised-simplex"),
-        }
-    }
-}
-
-/// Solves `lp` with the chosen backend. The interior-point backend falls
-/// back to the simplex automatically when it stalls before reaching its
-/// tolerance, so callers always receive a definite status.
+/// Solves `lp` cold: [`solve_from`] without a warm basis, keeping only
+/// the solution.
 ///
 /// # Errors
 ///
-/// Returns [`LpError::NumericalFailure`] only when *both* applicable
-/// backends fail numerically.
-pub fn solve(lp: &LpProblem, solver: Solver) -> Result<LpSolution, LpError> {
-    match solver {
-        Solver::Simplex => simplex::solve_simplex(lp),
-        Solver::Revised => match revised::solve_revised(lp) {
-            Ok(sol) => Ok(sol),
-            // A singular basis the eta file cannot recover from; the
-            // dense oracle keeps its own inverse and gets the verdict.
-            Err(_) => simplex::solve_simplex(lp),
-        },
-        Solver::InteriorPoint => {
-            let attempt = interior::solve_interior_point(lp);
-            match attempt {
-                Ok(sol) if sol.status == LpStatus::Optimal => Ok(sol),
-                // IPMs are poor at certifying infeasibility; let the
-                // simplex deliver the verdict on any non-optimal outcome.
-                Ok(_) | Err(_) => simplex::solve_simplex(lp),
-            }
-        }
-    }
+/// Returns [`LpError::NumericalFailure`] only when both the revised and
+/// the dense backend fail.
+pub fn solve(lp: &LpProblem) -> Result<LpSolution, LpError> {
+    solve_from(lp, None).map(|outcome| outcome.solution)
 }
 
 /// Solves `lp` with the sparse revised simplex, optionally warm-starting
@@ -128,6 +91,8 @@ pub fn solve(lp: &LpProblem, solver: Solver) -> Result<LpSolution, LpError> {
 pub fn solve_from(lp: &LpProblem, warm: Option<&Basis>) -> Result<SolveOutcome, LpError> {
     match revised::solve_revised_from(lp, warm) {
         Ok(outcome) => Ok(outcome),
+        // A singular basis the eta file cannot recover from; the dense
+        // simplex keeps its own inverse and gets the verdict.
         Err(_) => simplex::solve_simplex(lp).map(|solution| SolveOutcome {
             solution,
             basis: None,
@@ -142,22 +107,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn solver_display() {
-        assert_eq!(Solver::InteriorPoint.to_string(), "interior-point");
-        assert_eq!(Solver::Simplex.to_string(), "simplex");
-        assert_eq!(Solver::Revised.to_string(), "revised-simplex");
-        assert_eq!(Solver::default(), Solver::InteriorPoint);
-    }
-
-    #[test]
     fn dispatch_reaches_all_backends() {
         let mut lp = LpProblem::new(1);
         lp.set_objective(vec![1.0]).unwrap();
         lp.add_constraint(vec![(0, 1.0)], ConstraintSense::Ge, 2.0)
             .unwrap();
-        for solver in [Solver::Simplex, Solver::InteriorPoint, Solver::Revised] {
-            let sol = solve(&lp, solver).unwrap();
-            assert!(sol.is_optimal(), "{solver} failed");
+        let backends = [
+            solve(&lp).unwrap(),
+            solve_from(&lp, None).unwrap().solution,
+            simplex::solve_simplex(&lp).unwrap(),
+        ];
+        for sol in backends {
+            assert!(sol.is_optimal());
             assert!((sol.objective - 2.0).abs() < 1e-6);
         }
     }
@@ -187,7 +148,10 @@ mod tests {
             .unwrap();
         lp.add_constraint(vec![(0, 1.0)], ConstraintSense::Ge, 3.0)
             .unwrap();
-        let sol = solve(&lp, Solver::InteriorPoint).unwrap();
-        assert_eq!(sol.status, LpStatus::Infeasible);
+        assert_eq!(solve(&lp).unwrap().status, LpStatus::Infeasible);
+        assert_eq!(
+            solve_from(&lp, None).unwrap().solution.status,
+            LpStatus::Infeasible
+        );
     }
 }

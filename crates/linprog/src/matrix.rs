@@ -1,22 +1,13 @@
 //! Dense, row-major matrix and the small amount of numerical linear algebra
-//! the LP solvers need: products, transposes, Gauss–Jordan inversion and a
-//! Cholesky factorization for the interior-point normal equations.
+//! the dense simplex oracle needs: matrix–vector products and a
+//! Gauss–Jordan inverse for periodic basis refactorization.
 //!
 //! The matrices appearing in the MEC assignment LPs are small (a few hundred
-//! rows), so a straightforward dense representation is both simpler and —
-//! for these sizes — faster than a sparse one.
-//!
-//! The O(n²)–O(n³) kernels (`transpose`, `mul_mat`, `scaled_gram`,
-//! `cholesky`, `inverse`) switch to row-partitioned multi-threaded paths
-//! above the size thresholds in [`crate::par`]; every parallel path performs
-//! the same per-entry arithmetic in the same order as its serial twin, so
-//! results are bit-identical for any thread count.
+//! rows), so a straightforward dense representation keeps the oracle easy
+//! to audit; the production backend works on [`crate::sparse`] instead.
 
-use crate::par;
 use std::fmt;
 use std::ops::{Index, IndexMut};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Barrier;
 
 /// A dense, row-major matrix of `f64`.
 ///
@@ -104,16 +95,6 @@ impl Matrix {
         }
     }
 
-    /// Builds a matrix from a flat row-major vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != nrows * ncols`.
-    pub fn from_vec(nrows: usize, ncols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), nrows * ncols, "shape does not match data");
-        Matrix { nrows, ncols, data }
-    }
-
     /// Number of rows.
     pub fn nrows(&self) -> usize {
         self.nrows
@@ -139,47 +120,6 @@ impl Matrix {
     /// Copies column `c` into a new vector.
     pub fn col(&self, c: usize) -> Vec<f64> {
         (0..self.nrows).map(|r| self[(r, c)]).collect()
-    }
-
-    /// The transpose as a new matrix.
-    pub fn transpose(&self) -> Matrix {
-        let workers = par::plan_workers(self.ncols, par::PAR_MIN_ROWS);
-        if workers <= 1 {
-            self.transpose_serial()
-        } else {
-            self.transpose_parallel(workers)
-        }
-    }
-
-    fn transpose_serial(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.ncols, self.nrows);
-        for r in 0..self.nrows {
-            for c in 0..self.ncols {
-                t[(c, r)] = self[(r, c)];
-            }
-        }
-        t
-    }
-
-    /// Parallel transpose: each worker fills a strided share of the output
-    /// rows (= input columns). Pure copies, so trivially bit-identical.
-    fn transpose_parallel(&self, workers: usize) -> Matrix {
-        let mut t = Matrix::zeros(self.ncols, self.nrows);
-        let shared = par::SharedRows::new(&mut t.data, self.nrows);
-        let body = move |w: usize| {
-            let mut c = w;
-            while c < self.ncols {
-                // Safety: output row `c` is owned exclusively by worker
-                // `c % workers` for the lifetime of the scope.
-                let orow = unsafe { shared.row_mut(c) };
-                for r in 0..self.nrows {
-                    orow[r] = self[(r, c)];
-                }
-                c += workers;
-            }
-        };
-        par::run_workers(workers, &body);
-        t
     }
 
     /// Matrix–vector product `A x`.
@@ -226,279 +166,6 @@ impl Matrix {
         out
     }
 
-    /// Matrix–matrix product `A B`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inner dimensions disagree.
-    pub fn mul_mat(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.ncols, other.nrows, "dimension mismatch in mul_mat");
-        let workers = par::plan_workers(self.nrows, par::PAR_MIN_ROWS);
-        if workers <= 1 {
-            self.mul_mat_serial(other)
-        } else {
-            self.mul_mat_parallel(other, workers)
-        }
-    }
-
-    fn mul_mat_serial(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.nrows, other.ncols);
-        for r in 0..self.nrows {
-            Matrix::mul_mat_row(self.row(r), other, out.row_mut(r));
-        }
-        out
-    }
-
-    /// One output row of `A B`: `orow += self_row[k] * B[k][·]` in
-    /// increasing `k`. Shared by the serial and parallel paths so their
-    /// per-row arithmetic is literally the same code.
-    fn mul_mat_row(arow: &[f64], other: &Matrix, orow: &mut [f64]) {
-        for (k, &a) in arow.iter().enumerate() {
-            if a == 0.0 {
-                continue;
-            }
-            let brow = other.row(k);
-            for (o, b) in orow.iter_mut().zip(brow.iter()) {
-                *o += a * b;
-            }
-        }
-    }
-
-    /// Parallel product: output rows are independent, each worker owns a
-    /// strided share of them.
-    fn mul_mat_parallel(&self, other: &Matrix, workers: usize) -> Matrix {
-        let mut out = Matrix::zeros(self.nrows, other.ncols);
-        let shared = par::SharedRows::new(&mut out.data, other.ncols);
-        let body = move |w: usize| {
-            let mut r = w;
-            while r < self.nrows {
-                // Safety: output row `r` is owned exclusively by worker
-                // `r % workers` for the lifetime of the scope.
-                let orow = unsafe { shared.row_mut(r) };
-                Matrix::mul_mat_row(self.row(r), other, orow);
-                r += workers;
-            }
-        };
-        par::run_workers(workers, &body);
-        out
-    }
-
-    /// Computes `A Θ Aᵀ` for a diagonal matrix `Θ` given by `theta`,
-    /// the workhorse of the interior-point normal equations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `theta.len() != self.ncols()`.
-    pub fn scaled_gram(&self, theta: &[f64]) -> Matrix {
-        assert_eq!(theta.len(), self.ncols, "theta length mismatch");
-        let workers = par::plan_workers(self.nrows, par::PAR_MIN_ROWS);
-        if workers <= 1 {
-            self.scaled_gram_serial(theta)
-        } else {
-            self.scaled_gram_parallel(theta, workers)
-        }
-    }
-
-    fn scaled_gram_serial(&self, theta: &[f64]) -> Matrix {
-        let m = self.nrows;
-        let mut out = Matrix::zeros(m, m);
-        for i in 0..m {
-            self.scaled_gram_upper_row(theta, i, out.row_mut(i));
-        }
-        Matrix::mirror_upper(&mut out);
-        out
-    }
-
-    /// Fills `out_row[j]` for `j >= i` with
-    /// `sum_k A[i][k] * theta[k] * A[j][k]` — one upper-triangle row of the
-    /// scaled Gram matrix. Shared by the serial and parallel paths.
-    fn scaled_gram_upper_row(&self, theta: &[f64], i: usize, out_row: &mut [f64]) {
-        let m = self.nrows;
-        let ri = self.row(i);
-        for j in i..m {
-            let rj = self.row(j);
-            let mut acc = 0.0;
-            for k in 0..self.ncols {
-                let aik = ri[k];
-                if aik == 0.0 {
-                    continue;
-                }
-                acc += aik * theta[k] * rj[k];
-            }
-            out_row[j] = acc;
-        }
-    }
-
-    /// Copies the strict upper triangle onto the lower one.
-    fn mirror_upper(out: &mut Matrix) {
-        let m = out.nrows;
-        for i in 0..m {
-            for j in (i + 1)..m {
-                out[(j, i)] = out[(i, j)];
-            }
-        }
-    }
-
-    /// Parallel scaled Gram: workers fill strided upper-triangle rows
-    /// (striding balances the shrinking row lengths), then the lower
-    /// triangle is mirrored serially. Each entry's accumulation order is
-    /// identical to the serial path.
-    fn scaled_gram_parallel(&self, theta: &[f64], workers: usize) -> Matrix {
-        let m = self.nrows;
-        let mut out = Matrix::zeros(m, m);
-        {
-            let shared = par::SharedRows::new(&mut out.data, m);
-            let body = move |w: usize| {
-                let mut i = w;
-                while i < m {
-                    // Safety: output row `i` is owned exclusively by worker
-                    // `i % workers` for the lifetime of the scope.
-                    let orow = unsafe { shared.row_mut(i) };
-                    self.scaled_gram_upper_row(theta, i, orow);
-                    i += workers;
-                }
-            };
-            par::run_workers(workers, &body);
-        }
-        Matrix::mirror_upper(&mut out);
-        out
-    }
-
-    /// In-place Cholesky factorization `A = L Lᵀ` of a symmetric
-    /// positive-definite matrix; returns the lower-triangular factor.
-    ///
-    /// # Errors
-    ///
-    /// Returns `None` when the matrix is not (numerically) positive
-    /// definite. Callers typically respond by regularizing the diagonal.
-    pub fn cholesky(&self) -> Option<Matrix> {
-        assert_eq!(self.nrows, self.ncols, "cholesky requires a square matrix");
-        let workers = par::plan_workers(self.nrows, par::PAR_MIN_FACTOR_ROWS);
-        if workers <= 1 {
-            self.cholesky_serial()
-        } else {
-            self.cholesky_parallel(workers)
-        }
-    }
-
-    fn cholesky_serial(&self) -> Option<Matrix> {
-        let n = self.nrows;
-        let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = self[(i, j)];
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if sum <= 0.0 || !sum.is_finite() {
-                        return None;
-                    }
-                    l[(i, j)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
-                }
-            }
-        }
-        Some(l)
-    }
-
-    /// Parallel Cholesky: a fixed worker team walks the columns together.
-    /// Per column `j`, worker 0 produces the diagonal entry, a barrier
-    /// publishes it, then each worker fills its strided share of the
-    /// below-diagonal entries `l[(i, j)]`, and a second barrier closes the
-    /// column. Every entry evaluates the same expression with the same
-    /// `k`-order as the serial (row-ordered) factorization — the two
-    /// schedules compute entries in different sequence but each entry only
-    /// reads entries finished in both, so the result is bit-identical.
-    fn cholesky_parallel(&self, workers: usize) -> Option<Matrix> {
-        let n = self.nrows;
-        let mut l = Matrix::zeros(n, n);
-        let failed = AtomicBool::new(false);
-        let barrier = Barrier::new(workers);
-        {
-            let shared = par::SharedRows::new(&mut l.data, n);
-            let failed = &failed;
-            let barrier = &barrier;
-            let body = move |w: usize| {
-                for j in 0..n {
-                    if w == 0 {
-                        // Safety: only worker 0 touches row `j` between the
-                        // closing barrier of column j-1 and the barrier below.
-                        let lrow_j = unsafe { shared.row_mut(j) };
-                        let mut sum = self[(j, j)];
-                        for k in 0..j {
-                            sum -= lrow_j[k] * lrow_j[k];
-                        }
-                        if sum <= 0.0 || !sum.is_finite() {
-                            failed.store(true, Ordering::Relaxed);
-                        } else {
-                            lrow_j[j] = sum.sqrt();
-                        }
-                    }
-                    barrier.wait();
-                    // All workers observe the flag after the same barrier,
-                    // so they abandon the team together (no deadlock).
-                    if failed.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    // Safety: row `j` is only read below this point.
-                    let lrow_j = unsafe { shared.row(j) };
-                    let diag = lrow_j[j];
-                    let mut i = j + 1 + w;
-                    while i < n {
-                        // Safety: row `i` (i > j) is owned by worker
-                        // `(i - j - 1) % workers` until the next barrier.
-                        let lrow_i = unsafe { shared.row_mut(i) };
-                        let mut sum = self[(i, j)];
-                        for k in 0..j {
-                            sum -= lrow_i[k] * lrow_j[k];
-                        }
-                        lrow_i[j] = sum / diag;
-                        i += workers;
-                    }
-                    barrier.wait();
-                }
-            };
-            par::run_workers(workers, &body);
-        }
-        if failed.load(Ordering::Relaxed) {
-            None
-        } else {
-            Some(l)
-        }
-    }
-
-    /// Solves `L Lᵀ x = b` given the lower-triangular Cholesky factor `L`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions disagree.
-    pub fn cholesky_solve(l: &Matrix, b: &[f64]) -> Vec<f64> {
-        let n = l.nrows;
-        assert_eq!(b.len(), n, "rhs length mismatch");
-        // Forward substitution: L y = b
-        let mut y = vec![0.0; n];
-        for i in 0..n {
-            let mut sum = b[i];
-            let row = l.row(i);
-            for k in 0..i {
-                sum -= row[k] * y[k];
-            }
-            y[i] = sum / row[i];
-        }
-        // Backward substitution: Lᵀ x = y
-        let mut x = vec![0.0; n];
-        for i in (0..n).rev() {
-            let mut sum = y[i];
-            for k in (i + 1)..n {
-                sum -= l[(k, i)] * x[k];
-            }
-            x[i] = sum / l[(i, i)];
-        }
-        x
-    }
-
     /// Inverts the matrix with Gauss–Jordan elimination and partial
     /// pivoting. Used for periodic basis refactorization in the simplex.
     ///
@@ -507,15 +174,6 @@ impl Matrix {
     /// Returns `None` when the matrix is (numerically) singular.
     pub fn inverse(&self) -> Option<Matrix> {
         assert_eq!(self.nrows, self.ncols, "inverse requires a square matrix");
-        let workers = par::plan_workers(self.nrows, par::PAR_MIN_FACTOR_ROWS);
-        if workers <= 1 {
-            self.inverse_serial()
-        } else {
-            self.inverse_parallel(workers)
-        }
-    }
-
-    fn inverse_serial(&self) -> Option<Matrix> {
         let n = self.nrows;
         let mut a = self.clone();
         let mut inv = Matrix::identity(n);
@@ -534,8 +192,10 @@ impl Matrix {
                 return None;
             }
             if pivot != col {
-                a.swap_rows(pivot, col);
-                inv.swap_rows(pivot, col);
+                for c in 0..n {
+                    a.data.swap(pivot * n + c, col * n + c);
+                    inv.data.swap(pivot * n + c, col * n + c);
+                }
             }
             let p = a[(col, col)];
             for c in 0..n {
@@ -559,119 +219,6 @@ impl Matrix {
             }
         }
         Some(inv)
-    }
-
-    /// Parallel Gauss–Jordan inverse: per pivot column, worker 0 performs
-    /// the pivot search, row swap and pivot-row normalization (identical
-    /// scan order to the serial path, so pivot choices are identical), a
-    /// barrier publishes the pivot row, then every worker eliminates its
-    /// strided share of the remaining rows with the serial path's exact
-    /// per-row arithmetic, and a second barrier closes the column.
-    fn inverse_parallel(&self, workers: usize) -> Option<Matrix> {
-        let n = self.nrows;
-        let mut a = self.clone();
-        let mut inv = Matrix::identity(n);
-        let failed = AtomicBool::new(false);
-        let barrier = Barrier::new(workers);
-        {
-            let sa = par::SharedRows::new(&mut a.data, n);
-            let si = par::SharedRows::new(&mut inv.data, n);
-            let sa = &sa;
-            let si = &si;
-            let failed = &failed;
-            let barrier = &barrier;
-            let body = move |w: usize| {
-                for col in 0..n {
-                    if w == 0 {
-                        // Safety: only worker 0 touches any row between the
-                        // closing barrier of col-1 and the barrier below.
-                        let mut pivot = col;
-                        let mut best = unsafe { sa.row(col) }[col].abs();
-                        for r in (col + 1)..n {
-                            let v = unsafe { sa.row(r) }[col].abs();
-                            if v > best {
-                                best = v;
-                                pivot = r;
-                            }
-                        }
-                        if best < 1e-12 {
-                            failed.store(true, Ordering::Relaxed);
-                        } else {
-                            if pivot != col {
-                                unsafe {
-                                    sa.row_mut(pivot).swap_with_slice(sa.row_mut(col));
-                                    si.row_mut(pivot).swap_with_slice(si.row_mut(col));
-                                }
-                            }
-                            let arow = unsafe { sa.row_mut(col) };
-                            let irow = unsafe { si.row_mut(col) };
-                            let p = arow[col];
-                            for c in 0..n {
-                                arow[c] /= p;
-                                irow[c] /= p;
-                            }
-                        }
-                    }
-                    barrier.wait();
-                    // All workers observe the flag after the same barrier,
-                    // so they abandon the team together (no deadlock).
-                    if failed.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    // Safety: the pivot row `col` is only read below.
-                    let prow_a = unsafe { sa.row(col) };
-                    let prow_i = unsafe { si.row(col) };
-                    let mut r = w;
-                    while r < n {
-                        if r != col {
-                            // Safety: row `r` is owned by worker
-                            // `r % workers` until the next barrier.
-                            let arow = unsafe { sa.row_mut(r) };
-                            let factor = arow[col];
-                            if factor != 0.0 {
-                                let irow = unsafe { si.row_mut(r) };
-                                for c in 0..n {
-                                    arow[c] -= factor * prow_a[c];
-                                    irow[c] -= factor * prow_i[c];
-                                }
-                            }
-                        }
-                        r += workers;
-                    }
-                    barrier.wait();
-                }
-            };
-            par::run_workers(workers, &body);
-        }
-        if failed.load(Ordering::Relaxed) {
-            None
-        } else {
-            Some(inv)
-        }
-    }
-
-    /// Swaps two rows in place.
-    pub fn swap_rows(&mut self, r1: usize, r2: usize) {
-        if r1 == r2 {
-            return;
-        }
-        let ncols = self.ncols;
-        let (lo, hi) = if r1 < r2 { (r1, r2) } else { (r2, r1) };
-        let (a, b) = self.data.split_at_mut(hi * ncols);
-        a[lo * ncols..lo * ncols + ncols].swap_with_slice(&mut b[..ncols]);
-    }
-
-    /// Adds `value` to every diagonal entry (Tikhonov regularization).
-    pub fn add_diagonal(&mut self, value: f64) {
-        let n = self.nrows.min(self.ncols);
-        for i in 0..n {
-            self[(i, i)] += value;
-        }
-    }
-
-    /// Maximum absolute entry; zero matrices report `0.0`.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
     }
 }
 
@@ -701,11 +248,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
 }
 
-/// Euclidean norm of a slice.
-pub fn norm2(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
 /// Infinity norm of a slice; empty slices report `0.0`.
 pub fn norm_inf(a: &[f64]) -> f64 {
     a.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
@@ -731,74 +273,23 @@ mod tests {
     }
 
     #[test]
-    fn transpose_roundtrip() {
-        let m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        assert_eq!(m.transpose().transpose(), m);
-    }
-
-    #[test]
-    fn mul_mat_matches_hand_computation() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
-        let c = a.mul_mat(&b);
-        assert_eq!(c, Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]));
-    }
-
-    #[test]
     fn mul_vec_transposed_matches_explicit_transpose() {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 0.0], &[0.0, -1.0, 4.0]]);
+        let at = Matrix::from_rows(&[&[1.0, 0.0], &[2.0, -1.0], &[0.0, 4.0]]);
         let y = vec![2.0, 3.0];
-        assert_eq!(a.mul_vec_transposed(&y), a.transpose().mul_vec(&y));
-    }
-
-    #[test]
-    fn scaled_gram_matches_explicit_product() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[0.0, 1.0, -1.0]]);
-        let theta = vec![2.0, 0.5, 1.0];
-        let explicit = {
-            let mut d = Matrix::zeros(3, 3);
-            for i in 0..3 {
-                d[(i, i)] = theta[i];
-            }
-            a.mul_mat(&d).mul_mat(&a.transpose())
-        };
-        let fast = a.scaled_gram(&theta);
-        for i in 0..2 {
-            for j in 0..2 {
-                assert!((explicit[(i, j)] - fast[(i, j)]).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn cholesky_solves_spd_system() {
-        // A = M Mᵀ with M well-conditioned is SPD.
-        let m = Matrix::from_rows(&[&[2.0, 0.0, 0.0], &[1.0, 3.0, 0.0], &[0.5, -1.0, 2.5]]);
-        let a = m.mul_mat(&m.transpose());
-        let l = a.cholesky().expect("SPD matrix must factor");
-        let b = vec![1.0, 2.0, 3.0];
-        let x = Matrix::cholesky_solve(&l, &b);
-        let ax = a.mul_vec(&x);
-        for (lhs, rhs) in ax.iter().zip(b.iter()) {
-            assert!((lhs - rhs).abs() < 1e-9, "residual too large");
-        }
-    }
-
-    #[test]
-    fn cholesky_rejects_indefinite() {
-        let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-        assert!(a.cholesky().is_none());
+        assert_eq!(a.mul_vec_transposed(&y), at.mul_vec(&y));
     }
 
     #[test]
     fn inverse_times_matrix_is_identity() {
-        let a = Matrix::from_rows(&[&[4.0, 7.0], &[2.0, 6.0]]);
+        let a = Matrix::from_rows(&[&[0.0, 7.0, 1.0], &[2.0, 6.0, 0.0], &[1.0, 0.0, 3.0]]);
+        // The zero leading entry forces a pivot row swap.
         let inv = a.inverse().expect("invertible");
-        let prod = a.mul_mat(&inv);
-        for i in 0..2 {
-            for j in 0..2 {
+        for j in 0..3 {
+            let prod = a.mul_vec(&inv.col(j));
+            for (i, v) in prod.iter().enumerate() {
                 let expect = if i == j { 1.0 } else { 0.0 };
-                assert!((prod[(i, j)] - expect).abs() < 1e-12);
+                assert!((v - expect).abs() < 1e-12, "A·inv[{i},{j}] = {v}");
             }
         }
     }
@@ -810,119 +301,9 @@ mod tests {
     }
 
     #[test]
-    fn swap_rows_swaps() {
-        let mut m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        m.swap_rows(0, 1);
-        assert_eq!(m, Matrix::from_rows(&[&[3.0, 4.0], &[1.0, 2.0]]));
-    }
-
-    #[test]
     fn norms_behave() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-        assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
         assert_eq!(norm_inf(&[-7.0, 2.0]), 7.0);
         assert_eq!(norm_inf(&[]), 0.0);
-    }
-
-    /// Deterministic pseudo-random dense matrix (xorshift, no external RNG).
-    fn pseudo_random(nrows: usize, ncols: usize, mut state: u64) -> Matrix {
-        let mut data = Vec::with_capacity(nrows * ncols);
-        for _ in 0..nrows * ncols {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            // Map to roughly [-1, 1] with plenty of mantissa variety.
-            data.push((state as f64 / u64::MAX as f64) * 2.0 - 1.0);
-        }
-        Matrix::from_vec(nrows, ncols, data)
-    }
-
-    #[test]
-    fn parallel_transpose_is_bit_identical() {
-        let m = pseudo_random(97, 113, 0xA11CE);
-        for workers in [2, 3, 4] {
-            assert_eq!(m.transpose_parallel(workers), m.transpose_serial());
-        }
-    }
-
-    #[test]
-    fn parallel_mul_mat_is_bit_identical() {
-        let a = pseudo_random(96, 70, 1);
-        let b = pseudo_random(70, 88, 2);
-        for workers in [2, 3, 4] {
-            assert_eq!(a.mul_mat_parallel(&b, workers), a.mul_mat_serial(&b));
-        }
-    }
-
-    #[test]
-    fn parallel_scaled_gram_is_bit_identical() {
-        let a = pseudo_random(90, 120, 3);
-        let theta: Vec<f64> = (0..120).map(|k| 0.25 + (k % 17) as f64).collect();
-        for workers in [2, 3, 4] {
-            assert_eq!(
-                a.scaled_gram_parallel(&theta, workers),
-                a.scaled_gram_serial(&theta)
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_cholesky_is_bit_identical() {
-        // M Mᵀ + n·I is comfortably SPD.
-        let m = pseudo_random(120, 120, 4);
-        let mut spd = m.mul_mat(&m.transpose());
-        spd.add_diagonal(120.0);
-        let serial = spd.cholesky_serial().expect("SPD must factor");
-        for workers in [2, 3, 4] {
-            assert_eq!(spd.cholesky_parallel(workers), Some(serial.clone()));
-        }
-    }
-
-    #[test]
-    fn parallel_cholesky_rejects_indefinite_without_deadlock() {
-        let mut a = pseudo_random(64, 64, 5);
-        // Symmetrize, then force indefiniteness with a negative diagonal.
-        a = a.mul_mat(&a.transpose());
-        a.add_diagonal(-1e6);
-        assert!(a.cholesky_parallel(4).is_none());
-        assert!(a.cholesky_serial().is_none());
-    }
-
-    #[test]
-    fn parallel_inverse_is_bit_identical() {
-        let mut m = pseudo_random(110, 110, 6);
-        // Diagonal dominance keeps the matrix safely invertible.
-        m.add_diagonal(110.0);
-        let serial = m.inverse_serial().expect("invertible");
-        for workers in [2, 3, 4] {
-            assert_eq!(m.inverse_parallel(workers), Some(serial.clone()));
-        }
-    }
-
-    #[test]
-    fn parallel_inverse_detects_singularity_without_deadlock() {
-        let mut m = pseudo_random(80, 80, 7);
-        // Make row 1 an exact copy of row 0 → rank deficient.
-        let row0 = m.row(0).to_vec();
-        m.row_mut(1).copy_from_slice(&row0);
-        // Singular detection depends on pivot breakdown; a duplicated row
-        // guarantees it within the first two columns' eliminations.
-        assert_eq!(m.inverse_parallel(4), m.inverse_serial());
-    }
-
-    #[test]
-    fn public_kernels_match_above_threshold() {
-        // Above PAR_MIN_ROWS the public entry points may take the parallel
-        // path (depending on the configured thread count); whatever they
-        // pick must agree bit-for-bit with the serial reference.
-        let a = pseudo_random(par::PAR_MIN_ROWS + 8, par::PAR_MIN_ROWS + 8, 8);
-        assert_eq!(a.transpose(), a.transpose_serial());
-        assert_eq!(a.mul_mat(&a), a.mul_mat_serial(&a));
-        let theta = vec![1.5; a.ncols()];
-        assert_eq!(a.scaled_gram(&theta), a.scaled_gram_serial(&theta));
-        let mut spd = a.mul_mat(&a.transpose());
-        spd.add_diagonal(a.nrows() as f64);
-        assert_eq!(spd.cholesky(), spd.cholesky_serial());
-        assert_eq!(spd.inverse(), spd.inverse_serial());
     }
 }

@@ -225,7 +225,7 @@ pub fn parse_mps(text: &str) -> Result<LpProblem, LpError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{solve, Solver};
+    use crate::simplex::solve_simplex;
 
     fn toy() -> LpProblem {
         let mut lp = LpProblem::new(2);
@@ -244,8 +244,8 @@ mod tests {
         let lp = toy();
         let text = write_mps(&lp, "TOY");
         let parsed = parse_mps(&text).unwrap();
-        let a = solve(&lp, Solver::Simplex).unwrap();
-        let b = solve(&parsed, Solver::Simplex).unwrap();
+        let a = solve_simplex(&lp).unwrap();
+        let b = solve_simplex(&parsed).unwrap();
         assert!(
             (a.objective - b.objective).abs() < 1e-9,
             "{} vs {}",
@@ -285,7 +285,7 @@ ENDATA
         let lp = parse_mps(text).unwrap();
         assert_eq!(lp.num_vars(), 2);
         assert_eq!(lp.num_constraints(), 2);
-        let sol = solve(&lp, Solver::Simplex).unwrap();
+        let sol = solve_simplex(&lp).unwrap();
         // min x0 + 2 x1 with x1 = 3 fixed by EQ1, x0 >= 0 → 6.
         assert!((sol.objective - 6.0).abs() < 1e-9);
     }
@@ -324,7 +324,7 @@ BOUNDS
 ENDATA
 ";
         let lp = parse_mps(text).unwrap();
-        let sol = solve(&lp, Solver::Simplex).unwrap();
+        let sol = solve_simplex(&lp).unwrap();
         assert!((sol.objective - (-1.0)).abs() < 1e-9);
     }
 }

@@ -362,13 +362,13 @@ pub fn extract_block(
     })
 }
 
-/// Convenience wrapper: presolve, solve the reduction with `solver`, and
-/// restore.
+/// Convenience wrapper: presolve, solve the reduction with [`crate::solve`],
+/// and restore.
 ///
 /// # Errors
 ///
 /// Propagates solver errors.
-pub fn presolve_and_solve(lp: &LpProblem, solver: crate::Solver) -> Result<LpSolution, LpError> {
+pub fn presolve_and_solve(lp: &LpProblem) -> Result<LpSolution, LpError> {
     match presolve(lp)? {
         PresolveOutcome::Infeasible => Ok(LpSolution {
             status: LpStatus::Infeasible,
@@ -379,7 +379,7 @@ pub fn presolve_and_solve(lp: &LpProblem, solver: crate::Solver) -> Result<LpSol
         }),
         PresolveOutcome::Solved(sol) => Ok(sol),
         PresolveOutcome::Reduced(p) => {
-            let inner = crate::solve(&p.problem, solver)?;
+            let inner = crate::solve(&p.problem)?;
             Ok(p.restore(&inner))
         }
     }
@@ -388,7 +388,8 @@ pub fn presolve_and_solve(lp: &LpProblem, solver: crate::Solver) -> Result<LpSol
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{solve, ConstraintSense, LpProblem, Solver};
+    use crate::simplex::solve_simplex;
+    use crate::{ConstraintSense, LpProblem};
 
     #[test]
     fn fixed_variables_are_substituted() {
@@ -399,7 +400,7 @@ mod tests {
             .unwrap();
         lp.set_bounds(0, 1.5, 1.5).unwrap();
         lp.set_bounds(1, 0.0, 3.0).unwrap();
-        let out = presolve_and_solve(&lp, Solver::Simplex).unwrap();
+        let out = presolve_and_solve(&lp).unwrap();
         assert!(out.is_optimal());
         assert!((out.objective - 1.5).abs() < 1e-9);
         assert_eq!(out.x[0], 1.5);
@@ -413,7 +414,7 @@ mod tests {
         lp.add_constraint(vec![(0, 2.0)], ConstraintSense::Le, 6.0)
             .unwrap();
         lp.set_bounds(0, 0.0, 10.0).unwrap();
-        let out = presolve_and_solve(&lp, Solver::Simplex).unwrap();
+        let out = presolve_and_solve(&lp).unwrap();
         assert!((out.objective - (-3.0)).abs() < 1e-9);
     }
 
@@ -473,8 +474,8 @@ mod tests {
         lp.set_bounds(0, 0.5, 0.5).unwrap();
         lp.set_bounds(1, 0.0, 4.0).unwrap();
         lp.set_bounds(2, 0.0, 4.0).unwrap();
-        let direct = solve(&lp, Solver::Simplex).unwrap();
-        let pres = presolve_and_solve(&lp, Solver::Simplex).unwrap();
+        let direct = solve_simplex(&lp).unwrap();
+        let pres = presolve_and_solve(&lp).unwrap();
         assert!((direct.objective - pres.objective).abs() < 1e-9);
         assert!(lp.max_violation(&pres.x) < 1e-9);
     }
@@ -547,7 +548,7 @@ mod tests {
         }
         let structure = super::detect_blocks(&lp, 3);
         assert_eq!(structure.blocks.len(), 2);
-        let full = solve(&lp, Solver::Simplex).unwrap();
+        let full = solve_simplex(&lp).unwrap();
         let mut blockwise = 0.0;
         for k in 0..structure.blocks.len() {
             let sub = super::extract_block(&lp, &structure, k).unwrap();
@@ -572,7 +573,7 @@ mod tests {
         lp.add_constraint(vec![], ConstraintSense::Le, 1.0).unwrap(); // 0 <= 1 ok
         lp.add_constraint(vec![(0, 1.0)], ConstraintSense::Ge, 0.5)
             .unwrap();
-        let out = presolve_and_solve(&lp, Solver::Simplex).unwrap();
+        let out = presolve_and_solve(&lp).unwrap();
         assert!((out.objective - 0.5).abs() < 1e-9);
 
         let mut bad = LpProblem::new(1);

@@ -7,8 +7,8 @@
 //!             lⱼ ≤ xⱼ ≤ uⱼ               for every variable j
 //! ```
 //!
-//! The builder does not assume any particular solver; both the simplex and
-//! the interior-point backends consume the same [`LpProblem`].
+//! The builder does not assume any particular solver; the sparse revised
+//! simplex and the dense simplex oracle consume the same [`LpProblem`].
 
 use crate::error::LpError;
 

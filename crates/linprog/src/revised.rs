@@ -18,9 +18,8 @@
 //! its final basis so callers can chain.
 //!
 //! **Determinism:** given the same problem and the same (or no) warm
-//! basis, the solve is bit-deterministic for any thread count — the only
-//! parallel kernel is the per-column pricing product, which follows the
-//! `par` contract.
+//! basis, the solve is bit-deterministic: every kernel is serial, so the
+//! worker count of the caller's thread pool cannot reach it.
 
 use crate::basis::{BasisFactor, LuFactors};
 use crate::error::LpError;

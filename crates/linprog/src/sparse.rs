@@ -9,13 +9,7 @@
 //! exact semantics of [`crate::standard::StandardForm`] — same slack
 //! signs, same lower-bound shift, same objective offset — without ever
 //! materialising a dense matrix.
-//!
-//! The one parallel kernel here ([`CscMatrix::transpose_mul_vec`], used
-//! for full pricing) follows the `par` determinism contract: work is
-//! split *across* columns, never inside a per-column reduction, so the
-//! result is bit-identical for any thread count.
 
-use crate::par::{self, SharedRows, PAR_MIN_ROWS};
 use crate::problem::{ConstraintSense, LpProblem};
 
 /// A sparse matrix in compressed-sparse-column form.
@@ -96,6 +90,7 @@ impl CscMatrix {
     ///
     /// Panics if `j` is out of range.
     #[must_use]
+    #[inline]
     pub fn col(&self, j: usize) -> (&[usize], &[f64]) {
         let (s, e) = (self.col_ptr[j], self.col_ptr[j + 1]);
         (&self.row_idx[s..e], &self.vals[s..e])
@@ -103,6 +98,7 @@ impl CscMatrix {
 
     /// Sparse dot product of column `j` with a dense vector.
     #[must_use]
+    #[inline]
     pub fn col_dot(&self, j: usize, y: &[f64]) -> f64 {
         let (rows, vals) = self.col(j);
         rows.iter().zip(vals).map(|(&r, &v)| y[r] * v).sum()
@@ -110,6 +106,7 @@ impl CscMatrix {
 
     /// Scatters column `j` into a dense vector (overwriting only the
     /// column's nonzero rows; the caller zeroes the buffer).
+    #[inline]
     pub fn scatter_col(&self, j: usize, out: &mut [f64]) {
         let (rows, vals) = self.col(j);
         for (&r, &v) in rows.iter().zip(vals) {
@@ -117,34 +114,13 @@ impl CscMatrix {
         }
     }
 
-    /// `Aᵀ y`: one sparse dot per column. Columns are chunked across the
-    /// configured worker threads above the [`PAR_MIN_ROWS`] threshold;
-    /// each output element is produced by the same per-column reduction
-    /// regardless of thread count (the `par` determinism contract).
+    /// `Aᵀ y`: one sparse dot per column (full pricing). Serial on
+    /// purpose: the LPs are small and already solved concurrently, one
+    /// per cluster, so threads spawned here would only contend.
     #[must_use]
     pub fn transpose_mul_vec(&self, y: &[f64]) -> Vec<f64> {
         assert_eq!(y.len(), self.nrows);
-        let mut out = vec![0.0; self.ncols];
-        let workers = par::plan_workers(self.ncols, PAR_MIN_ROWS);
-        if workers <= 1 {
-            for (j, o) in out.iter_mut().enumerate() {
-                *o = self.col_dot(j, y);
-            }
-            return out;
-        }
-        let chunk = self.ncols.div_ceil(workers);
-        let shared = SharedRows::new(&mut out, 1);
-        par::run_workers(workers, &|w| {
-            let start = w * chunk;
-            let end = ((w + 1) * chunk).min(self.ncols);
-            for j in start..end {
-                // Disjoint by construction: worker `w` owns exactly
-                // columns `start..end`.
-                let slot = unsafe { shared.row_mut(j) };
-                slot[0] = self.col_dot(j, y);
-            }
-        });
-        out
+        (0..self.ncols).map(|j| self.col_dot(j, y)).collect()
     }
 }
 
@@ -318,7 +294,7 @@ mod tests {
     }
 
     #[test]
-    fn transpose_mul_matches_serial_for_any_worker_count() {
+    fn transpose_mul_matches_per_column_dots() {
         let cols: Vec<Vec<(usize, f64)>> = (0..200)
             .map(|j| {
                 let start = j % 31;
@@ -329,11 +305,15 @@ mod tests {
             .collect();
         let a = CscMatrix::from_columns(37, &cols);
         let y: Vec<f64> = (0..37).map(|i| (i as f64).cos()).collect();
-        let serial: Vec<f64> = (0..a.ncols()).map(|j| a.col_dot(j, &y)).collect();
-        par::set_threads(4);
-        let parallel = a.transpose_mul_vec(&y);
-        par::set_threads(0);
-        assert_eq!(serial, parallel, "bit-identical per the par contract");
+        let dots: Vec<f64> = (0..a.ncols()).map(|j| a.col_dot(j, &y)).collect();
+        assert_eq!(a.transpose_mul_vec(&y), dots);
+        // Against a dense scatter-and-sum: same values up to rounding.
+        for (j, d) in dots.iter().enumerate() {
+            let mut col = vec![0.0; a.nrows()];
+            a.scatter_col(j, &mut col);
+            let dense: f64 = col.iter().zip(&y).map(|(c, v)| c * v).sum();
+            assert!((dense - d).abs() < 1e-12, "column {j}: {dense} vs {d}");
+        }
     }
 
     #[test]

@@ -1,13 +1,20 @@
 //! Coverage for the MPS reader/writer and the presolve layer: malformed
 //! inputs fail with errors (never panics or silent misparses), empty and
 //! degenerate problems resolve outright, and presolve-then-solve agrees
-//! with solving the original problem on both backends.
+//! with solving the original problem on both the production backend and
+//! the dense simplex oracle.
 
 use detrand::prop::run_cases;
 use detrand::{prop_assert, ChaCha8Rng};
 use linprog::mps::{parse_mps, write_mps};
 use linprog::presolve::{presolve, presolve_and_solve, PresolveOutcome};
-use linprog::{solve, ConstraintSense, LpProblem, LpStatus, Solver};
+use linprog::simplex::solve_simplex;
+use linprog::{solve, ConstraintSense, LpError, LpProblem, LpSolution, LpStatus};
+
+type Backend = fn(&LpProblem) -> Result<LpSolution, LpError>;
+
+/// The production backend and the dense oracle, by name.
+const BACKENDS: [(&str, Backend); 2] = [("revised", solve), ("dense", solve_simplex)];
 
 /// A 2-variable LP exercising every row sense and bound type the MPS
 /// dialect supports: min x0 + 2 x1 s.t. x0 + x1 ≥ 1, x0 − x1 ≤ 2,
@@ -33,14 +40,14 @@ fn mps_round_trips_and_solves_identically() {
     let back = parse_mps(&text).unwrap();
     assert_eq!(back.num_vars(), lp.num_vars());
     assert_eq!(back.num_constraints(), lp.num_constraints());
-    for solver in [Solver::Simplex, Solver::InteriorPoint] {
-        let a = solve(&lp, solver).unwrap();
-        let b = solve(&back, solver).unwrap();
-        assert_eq!(a.status, LpStatus::Optimal, "{solver:?}");
-        assert_eq!(b.status, LpStatus::Optimal, "{solver:?}");
+    for (solver, backend) in BACKENDS {
+        let a = backend(&lp).unwrap();
+        let b = backend(&back).unwrap();
+        assert_eq!(a.status, LpStatus::Optimal, "{solver}");
+        assert_eq!(b.status, LpStatus::Optimal, "{solver}");
         assert!(
             (a.objective - b.objective).abs() < 1e-8 * (1.0 + a.objective.abs()),
-            "{solver:?}: {} vs {} after the MPS round trip",
+            "{solver}: {} vs {} after the MPS round trip",
             a.objective,
             b.objective
         );
@@ -98,7 +105,7 @@ fn mps_writer_output_is_stable_and_parseable() {
     let back = parse_mps(&text).unwrap();
     assert_eq!(back.num_vars(), 2);
     assert_eq!(back.num_constraints(), 1);
-    let sol = solve(&back, Solver::Simplex).unwrap();
+    let sol = solve_simplex(&back).unwrap();
     assert_eq!(sol.status, LpStatus::Optimal);
 }
 
@@ -149,7 +156,7 @@ fn presolve_resolves_degenerate_problems_outright() {
     unconstrained.set_objective(vec![1.0, 1.0]).unwrap();
     unconstrained.set_bounds(0, 0.5, 4.0).unwrap();
     unconstrained.set_bounds(1, 0.25, 4.0).unwrap();
-    let sol = presolve_and_solve(&unconstrained, Solver::Simplex).unwrap();
+    let sol = presolve_and_solve(&unconstrained).unwrap();
     assert_eq!(sol.status, LpStatus::Optimal);
     assert!((sol.objective - 0.75).abs() < 1e-9, "{}", sol.objective);
     assert_eq!(sol.x.len(), 2, "restore maps back to original variables");
@@ -182,16 +189,39 @@ fn random_presolvable(rng: &mut ChaCha8Rng) -> LpProblem {
     lp
 }
 
+/// The steps of [`presolve_and_solve`] with the reduction solved by
+/// `backend`: presolve, solve what remains, restore.
+fn presolve_then(lp: &LpProblem, backend: Backend) -> Result<LpSolution, LpError> {
+    Ok(match presolve(lp)? {
+        PresolveOutcome::Reduced(p) => p.restore(&backend(&p.problem)?),
+        PresolveOutcome::Solved(sol) => sol,
+        PresolveOutcome::Infeasible => LpSolution {
+            status: LpStatus::Infeasible,
+            x: vec![0.0; lp.num_vars()],
+            objective: 0.0,
+            iterations: 0,
+            duals: None,
+        },
+    })
+}
+
 #[test]
 fn presolve_then_solve_matches_direct_solve_on_both_backends() {
     run_cases("presolve_equivalence", 48, |rng| {
         let lp = random_presolvable(rng);
-        for solver in [Solver::Simplex, Solver::InteriorPoint] {
-            let direct = solve(&lp, solver).map_err(|e| e.to_string())?;
-            let via = presolve_and_solve(&lp, solver).map_err(|e| e.to_string())?;
+        let wrapped = presolve_and_solve(&lp).map_err(|e| e.to_string())?;
+        let revised = presolve_then(&lp, solve).map_err(|e| e.to_string())?;
+        prop_assert!(
+            wrapped.status == revised.status
+                && wrapped.objective.to_bits() == revised.objective.to_bits(),
+            "presolve_and_solve is presolve + linprog::solve + restore"
+        );
+        for (solver, backend) in BACKENDS {
+            let direct = backend(&lp).map_err(|e| e.to_string())?;
+            let via = presolve_then(&lp, backend).map_err(|e| e.to_string())?;
             prop_assert!(
                 direct.status == via.status,
-                "{solver:?}: status {:?} vs {:?}",
+                "{solver}: status {:?} vs {:?}",
                 direct.status,
                 via.status
             );
@@ -199,17 +229,17 @@ fn presolve_then_solve_matches_direct_solve_on_both_backends() {
                 prop_assert!(
                     (direct.objective - via.objective).abs()
                         < 1e-6 * (1.0 + direct.objective.abs()),
-                    "{solver:?}: objective {} vs {}",
+                    "{solver}: objective {} vs {}",
                     direct.objective,
                     via.objective
                 );
                 prop_assert!(
                     via.x.len() == lp.num_vars(),
-                    "{solver:?}: restored point has wrong arity"
+                    "{solver}: restored point has wrong arity"
                 );
                 prop_assert!(
                     lp.max_violation(&via.x) < 1e-6,
-                    "{solver:?}: restored point violates the original problem by {}",
+                    "{solver}: restored point violates the original problem by {}",
                     lp.max_violation(&via.x)
                 );
             }

@@ -1,5 +1,6 @@
-//! Property-based tests: on randomly generated feasible bounded LPs the two
-//! backends must agree, produce feasible points, and respect basic
+//! Property-based tests: on randomly generated feasible bounded LPs the
+//! production backend ([`linprog::solve`]) and the dense simplex oracle
+//! must agree, produce feasible points, and respect basic
 //! invariances of linear programming.
 //!
 //! Runs on the in-repo seeded harness ([`detrand::prop`]); failures print
@@ -7,7 +8,8 @@
 
 use detrand::prop::run_cases;
 use detrand::{prop_assert, prop_assert_eq, ChaCha8Rng};
-use linprog::{solve, ConstraintSense, LpProblem, LpStatus, Solver};
+use linprog::simplex::solve_simplex;
+use linprog::{solve, ConstraintSense, LpProblem, LpStatus};
 
 /// A random LP that is feasible (the origin satisfies every row) and
 /// bounded (every variable lives in `[0, 1]`).
@@ -67,19 +69,19 @@ fn backends_agree_and_are_feasible() {
     run_cases("backends_agree_and_are_feasible", 64, |rng| {
         let rlp = random_lp(rng);
         let lp = rlp.build();
-        let spx = solve(&lp, Solver::Simplex).unwrap();
-        let ipm = solve(&lp, Solver::InteriorPoint).unwrap();
+        let spx = solve_simplex(&lp).unwrap();
+        let rev = solve(&lp).unwrap();
         prop_assert_eq!(spx.status, LpStatus::Optimal);
-        prop_assert_eq!(ipm.status, LpStatus::Optimal);
+        prop_assert_eq!(rev.status, LpStatus::Optimal);
         let scale = 1.0 + spx.objective.abs();
         prop_assert!(
-            (spx.objective - ipm.objective).abs() < 1e-5 * scale,
-            "simplex {} vs ipm {}",
+            (spx.objective - rev.objective).abs() < 1e-6 * scale,
+            "dense {} vs revised {}",
             spx.objective,
-            ipm.objective
+            rev.objective
         );
         prop_assert!(lp.max_violation(&spx.x) < 1e-6);
-        prop_assert!(lp.max_violation(&ipm.x) < 1e-6);
+        prop_assert!(lp.max_violation(&rev.x) < 1e-6);
         Ok(())
     });
 }
@@ -90,13 +92,13 @@ fn objective_scaling_scales_optimum() {
         let rlp = random_lp(rng);
         let k = rng.gen_range(0.1..10.0f64);
         let lp = rlp.build();
-        let base = solve(&lp, Solver::Simplex).unwrap();
+        let base = solve_simplex(&lp).unwrap();
 
         let mut scaled = rlp.clone();
         for c in &mut scaled.objective {
             *c *= k;
         }
-        let scaled_sol = solve(&scaled.build(), Solver::Simplex).unwrap();
+        let scaled_sol = solve_simplex(&scaled.build()).unwrap();
         let tol = 1e-6 * (1.0 + base.objective.abs()) * k.max(1.0);
         prop_assert!(
             (scaled_sol.objective - k * base.objective).abs() < tol,
@@ -113,7 +115,7 @@ fn redundant_constraint_changes_nothing() {
     run_cases("redundant_constraint_changes_nothing", 64, |rng| {
         let rlp = random_lp(rng);
         let lp = rlp.build();
-        let base = solve(&lp, Solver::Simplex).unwrap();
+        let base = solve_simplex(&lp).unwrap();
 
         // x_j <= 1 already holds through the bounds; summing gives a row
         // that can never bind more tightly than the box.
@@ -125,7 +127,7 @@ fn redundant_constraint_changes_nothing() {
             n as f64 + 1.0,
         )
         .unwrap();
-        let with_redundant = solve(&lp2, Solver::Simplex).unwrap();
+        let with_redundant = solve_simplex(&lp2).unwrap();
         prop_assert!(
             (base.objective - with_redundant.objective).abs() < 1e-7 * (1.0 + base.objective.abs())
         );
@@ -138,7 +140,7 @@ fn optimum_never_exceeds_any_feasible_point() {
     run_cases("optimum_never_exceeds_any_feasible_point", 64, |rng| {
         let rlp = random_lp(rng);
         let lp = rlp.build();
-        let sol = solve(&lp, Solver::Simplex).unwrap();
+        let sol = solve_simplex(&lp).unwrap();
         // The origin is always feasible here, so optimum <= c·0 = 0.
         prop_assert!(sol.objective <= 1e-9);
         Ok(())
@@ -152,14 +154,14 @@ fn duals_are_rhs_sensitivities() {
     run_cases("duals_are_rhs_sensitivities", 32, |rng| {
         let rlp = random_lp_for_duals(rng);
         let lp = rlp.build();
-        let base = solve(&lp, Solver::Simplex).unwrap();
+        let base = solve_simplex(&lp).unwrap();
         prop_assert_eq!(base.status, LpStatus::Optimal);
         let duals = base.duals.clone().expect("simplex must report duals");
         let eps = 1e-4;
         for (i, (coeffs, rhs)) in rlp.rows.iter().enumerate() {
             let mut perturbed = rlp.clone();
             perturbed.rows[i] = (coeffs.clone(), rhs + eps);
-            let sol = solve(&perturbed.build(), Solver::Simplex).unwrap();
+            let sol = solve_simplex(&perturbed.build()).unwrap();
             if sol.status != LpStatus::Optimal {
                 continue;
             }

@@ -1,15 +1,15 @@
 //! Differential coverage for the sparse revised simplex: on MPS fixtures,
 //! degenerate presolve cases, and randomized instances, the revised
-//! backend must agree with the dense simplex oracle and the interior-point
-//! method on status, objective, and feasibility — and warm starts must
-//! never change the answer.
+//! backend must agree with the dense simplex oracle on status, objective,
+//! and feasibility — and warm starts must never change the answer.
 
 use detrand::prop::run_cases;
 use detrand::{prop_assert, prop_assert_eq, ChaCha8Rng};
 use linprog::mps::{parse_mps, write_mps};
 use linprog::presolve::presolve_and_solve;
 use linprog::revised::solve_revised_from;
-use linprog::{solve, solve_from, ConstraintSense, LpProblem, LpStatus, Solver};
+use linprog::simplex::solve_simplex;
+use linprog::{solve, solve_from, ConstraintSense, LpProblem, LpStatus};
 
 /// The MPS reference problem from the `mps_presolve` suite: every row
 /// sense and bound type the dialect supports.
@@ -28,8 +28,8 @@ fn reference_problem() -> LpProblem {
 }
 
 fn assert_backends_agree(lp: &LpProblem, label: &str) {
-    let dense = solve(lp, Solver::Simplex).unwrap();
-    let revised = solve(lp, Solver::Revised).unwrap();
+    let dense = solve_simplex(lp).unwrap();
+    let revised = solve(lp).unwrap();
     assert_eq!(
         revised.status, dense.status,
         "{label}: status mismatch (dense {:?}, revised {:?})",
@@ -50,13 +50,6 @@ fn assert_backends_agree(lp: &LpProblem, label: &str) {
         "{label}: revised point violates constraints by {}",
         lp.max_violation(&revised.x)
     );
-    let ipm = solve(lp, Solver::InteriorPoint).unwrap();
-    assert!(
-        (revised.objective - ipm.objective).abs() < 1e-5 * scale,
-        "{label}: objective ipm {} vs revised {}",
-        ipm.objective,
-        revised.objective
-    );
 }
 
 #[test]
@@ -70,8 +63,8 @@ fn revised_matches_oracles_on_mps_fixtures() {
     let back = parse_mps(&text).unwrap();
     assert_backends_agree(&back, "reference problem after MPS round trip");
 
-    let direct = solve(&lp, Solver::Revised).unwrap();
-    let round_tripped = solve(&back, Solver::Revised).unwrap();
+    let direct = solve(&lp).unwrap();
+    let round_tripped = solve(&back).unwrap();
     assert!(
         (direct.objective - round_tripped.objective).abs() < 1e-8 * (1.0 + direct.objective.abs()),
         "MPS round trip moved the revised objective: {} vs {}",
@@ -92,7 +85,7 @@ fn revised_handles_degenerate_presolve_cases() {
     fixed.set_bounds(0, 1.0, 1.0).unwrap();
     fixed.set_bounds(1, 2.0, 2.0).unwrap();
     assert_backends_agree(&fixed, "fully fixed variables");
-    let via_presolve = presolve_and_solve(&fixed, Solver::Revised).unwrap();
+    let via_presolve = presolve_and_solve(&fixed).unwrap();
     assert_eq!(via_presolve.status, LpStatus::Optimal);
     assert!((via_presolve.objective - 11.0).abs() < 1e-9);
 
@@ -105,7 +98,7 @@ fn revised_handles_degenerate_presolve_cases() {
     squeezed
         .add_constraint(vec![(0, 1.0)], ConstraintSense::Ge, 2.0)
         .unwrap();
-    let revised = solve(&squeezed, Solver::Revised).unwrap();
+    let revised = solve(&squeezed).unwrap();
     assert_eq!(revised.status, LpStatus::Infeasible);
 
     // Redundant duplicated rows make the basis degenerate; termination
@@ -155,8 +148,8 @@ fn random_lp(rng: &mut ChaCha8Rng) -> LpProblem {
 fn revised_agrees_with_both_oracles_on_random_instances() {
     run_cases("revised_vs_oracles", 64, |rng| {
         let lp = random_lp(rng);
-        let dense = solve(&lp, Solver::Simplex).map_err(|e| e.to_string())?;
-        let revised = solve(&lp, Solver::Revised).map_err(|e| e.to_string())?;
+        let dense = solve_simplex(&lp).map_err(|e| e.to_string())?;
+        let revised = solve(&lp).map_err(|e| e.to_string())?;
         prop_assert_eq!(dense.status, LpStatus::Optimal);
         prop_assert_eq!(revised.status, LpStatus::Optimal);
         let scale = 1.0 + dense.objective.abs();

@@ -1,12 +1,10 @@
-//! Determinism guarantees of the parallel sweep engine and the parallel
-//! dense kernels: running on N worker threads must produce outputs that
-//! are bit-identical to a single-threaded run, and the scenario/cost
+//! Determinism guarantees of the parallel sweep engine: running on N
+//! worker threads must produce outputs that are bit-identical to a single-threaded run, and the scenario/cost
 //! caches must be invisible in results.
 //!
 //! The thread count is process-global, so every test that toggles it
 //! holds one shared lock.
 
-use linprog::{solve, ConstraintSense, LpProblem, Solver};
 use mec_bench::figures::{fig2a, fig5a, ExperimentOptions};
 use mec_bench::table::Figure;
 use mec_bench::{cache, par};
@@ -94,62 +92,6 @@ fn cached_cost_table_agrees_with_direct_build() {
     let costs = CostTable::build(&scenario.system, &scenario.tasks).unwrap();
     assert_eq!(cached.scenario, scenario);
     assert_eq!(cached.costs, costs);
-}
-
-/// Pseudo-random dense-ish LP used to exercise both backends.
-fn random_lp(seed: u64, vars: usize, rows: usize) -> LpProblem {
-    let mut state = seed | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        (state >> 11) as f64 / (1u64 << 53) as f64
-    };
-    let mut lp = LpProblem::new(vars);
-    lp.set_objective((0..vars).map(|_| 0.1 + next()).collect())
-        .unwrap();
-    for _ in 0..rows {
-        let terms: Vec<(usize, f64)> = (0..vars).map(|v| (v, next())).collect();
-        // Row sums keep every instance feasible and bounded.
-        let rhs = 1.0 + next() * vars as f64 * 0.5;
-        lp.add_constraint(terms, ConstraintSense::Ge, rhs).unwrap();
-    }
-    for v in 0..vars {
-        lp.set_bounds(v, 0.0, 10.0 + next()).unwrap();
-    }
-    lp
-}
-
-/// Both LP backends produce bit-identical solutions on 1 vs 4 threads —
-/// the parallel dense kernels must not reorder any reduction.
-#[test]
-fn lp_solvers_are_bit_identical_across_thread_counts() {
-    let _guard = threads_lock();
-    for solver in [Solver::Simplex, Solver::InteriorPoint] {
-        for seed in [1u64, 2, 3] {
-            let lp = random_lp(seed, 24, 18);
-            linprog::set_threads(1);
-            let serial = solve(&lp, solver).unwrap();
-            linprog::set_threads(4);
-            let parallel = solve(&lp, solver).unwrap();
-            assert_eq!(serial.status, parallel.status, "{solver:?} seed {seed}");
-            assert_eq!(
-                serial.iterations, parallel.iterations,
-                "{solver:?} seed {seed}"
-            );
-            assert_eq!(
-                serial.objective.to_bits(),
-                parallel.objective.to_bits(),
-                "{solver:?} seed {seed}: objective {} vs {}",
-                serial.objective,
-                parallel.objective
-            );
-            for (i, (a, b)) in serial.x.iter().zip(&parallel.x).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "{solver:?} seed {seed} x[{i}]");
-            }
-        }
-    }
-    linprog::set_threads(0);
 }
 
 /// The sweep engine surfaces worker failures as errors in a deterministic

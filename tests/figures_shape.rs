@@ -184,13 +184,18 @@ fn ratio_check_within_certificates() {
 #[test]
 fn lp_backends_agree_on_energy() {
     let fig = ablate_lp_backend(&quick()).unwrap();
-    let ipm = series(&fig, "energy (IPM)");
-    let spx = series(&fig, "energy (simplex)");
-    for (a, b) in ipm.iter().zip(spx) {
+    let revised = series(&fig, "LP objective (revised)");
+    let dense = series(&fig, "LP objective (dense)");
+    assert!(!revised.is_empty());
+    for (r, d) in revised.iter().zip(dense) {
+        assert!(*r > 0.0, "relaxation energy is positive: {r}");
         assert!(
-            (a - b).abs() < 0.05 * b.abs().max(1.0),
-            "backends disagree: {a} vs {b}"
+            (r - d).abs() <= 1e-6 * d.abs(),
+            "backends disagree: revised {r} vs dense {d}"
         );
+    }
+    for name in ["time ms (revised)", "time ms (dense)"] {
+        assert!(series(&fig, name).iter().all(|t| *t >= 0.0), "{name}");
     }
 }
 

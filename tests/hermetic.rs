@@ -163,20 +163,56 @@ fn every_dependency_is_a_workspace_path() {
     );
 }
 
-#[test]
-fn lockfile_contains_no_registry_packages() {
-    let lock = repo_root().join("Cargo.lock");
-    let text = std::fs::read_to_string(&lock)
-        .unwrap_or_else(|e| panic!("reading {}: {e}", lock.display()));
-    // Registry packages carry `source = "registry+..."` (and a checksum);
-    // path packages carry neither.
+/// Registry packages carry `source = "registry+..."` (and a checksum),
+/// git packages `source = "git+..."`; path packages carry neither.
+fn assert_lockfile_is_path_only(lock: &Path) {
+    let text =
+        std::fs::read_to_string(lock).unwrap_or_else(|e| panic!("reading {}: {e}", lock.display()));
     let sourced: Vec<&str> = text
         .lines()
         .filter(|l| l.trim_start().starts_with("source ="))
         .collect();
     assert!(
         sourced.is_empty(),
-        "Cargo.lock references external package sources:\n{}",
+        "{} references external package sources:\n{}",
+        lock.display(),
         sourced.join("\n")
     );
+    assert!(
+        text.contains("[[package]]"),
+        "{} lists no packages — parser broken?",
+        lock.display()
+    );
+}
+
+#[test]
+fn lockfile_contains_no_registry_packages() {
+    assert_lockfile_is_path_only(&repo_root().join("Cargo.lock"));
+}
+
+/// The benchmark package (`crates/bench/examples/benchmark`) is a
+/// workspace of its own with its own lock file, so the workspace scan
+/// above never sees it; it must be just as hermetic: every dependency a
+/// `path` entry (it has no workspace table to inherit from) and no
+/// sourced package in its lock file.
+#[test]
+fn benchmark_package_is_hermetic() {
+    let dir = repo_root().join("crates/bench/examples/benchmark");
+    let deps = collect_deps(&dir.join("Cargo.toml"));
+    assert!(
+        deps.len() >= 4,
+        "expected the benchmark's path deps on the workspace crates, found {}",
+        deps.len()
+    );
+    let offenders: Vec<String> = deps
+        .iter()
+        .filter(|dep| !is_hermetic(&dep.spec, true))
+        .map(|dep| format!("`{} = {}`", dep.name, dep.spec.trim()))
+        .collect();
+    assert!(
+        offenders.is_empty(),
+        "benchmark dependencies must be path entries:\n{}",
+        offenders.join("\n")
+    );
+    assert_lockfile_is_path_only(&dir.join("Cargo.lock"));
 }
