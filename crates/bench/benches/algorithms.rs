@@ -1,5 +1,6 @@
 //! Timing benches of the assignment algorithms themselves: LP-HTA (with
-//! and without the exact fast path), the comparators,
+//! and without the exact fast path, and its rounding alone at fleet
+//! scale), the comparators,
 //! the exact branch-and-bound, and the DTA divisions.
 //!
 //! Plain `harness = false` binary on [`mec_bench::timing`]; filter cases
@@ -31,6 +32,31 @@ fn bench_lp_hta(h: &mut Harness) {
             full.assign(&s.system, &s.tasks, &costs).unwrap()
         });
     }
+}
+
+/// Steps 3–6 alone at the 10⁵-device fleet's shape: 100 clusters of 1000
+/// devices and 1000 tasks each. Every cluster exceeds `lp_cluster_limit`,
+/// so the fractional input is the greedy seed and the time is rounding
+/// plus the deadline and capacity repairs.
+fn bench_round_greedy(h: &mut Harness) {
+    const NAME: &str = "lp_hta/round_greedy/100x1000";
+    if !h.wants(NAME) {
+        return;
+    }
+    let mut cfg = ScenarioConfig::paper_defaults(9100);
+    cfg.num_stations = 100;
+    cfg.devices_per_station = 1000;
+    cfg.tasks_total = 100_000;
+    let s = cfg.generate().expect("generation");
+    let costs = CostTable::build(&s.system, &s.tasks).expect("pricing");
+    let algo = LpHta::paper().without_fast_path();
+    let fractional = algo
+        .solve_relaxation(&s.system, &s.tasks, &costs)
+        .expect("greedy seed");
+    h.bench(NAME, || {
+        algo.round_with(&s.system, &s.tasks, &costs, &fractional)
+            .unwrap()
+    });
 }
 
 fn bench_comparators(h: &mut Harness) {
@@ -83,6 +109,7 @@ fn bench_dta(h: &mut Harness) {
 fn main() {
     let mut h = Harness::from_args();
     bench_lp_hta(&mut h);
+    bench_round_greedy(&mut h);
     bench_comparators(&mut h);
     bench_exact(&mut h);
     bench_dta(&mut h);

@@ -423,7 +423,11 @@ pub fn serve_with_hook(
     };
     // Dropouts are the only permanent churn: a device that died before an
     // epoch's decision point is gone for that epoch and every later one.
-    let dropouts: Vec<(DeviceId, Seconds)> = plan
+    // Epoch close times never decrease, so the dead mask (dense over
+    // device ids) lives for the whole session and a cursor walks the
+    // dropouts in time order (finite: `FaultPlan` validates them),
+    // marking each once.
+    let mut dropouts: Vec<(DeviceId, Seconds)> = plan
         .faults()
         .iter()
         .filter_map(|f| match *f {
@@ -431,6 +435,9 @@ pub fn serve_with_hook(
             _ => None,
         })
         .collect();
+    dropouts.sort_by(|a, b| a.1.value().total_cmp(&b.1.value()));
+    let mut dropped = 0usize;
+    let mut is_dead = vec![false; stream.system.num_devices()];
 
     // The serve loop always runs the sharded LP: the batch-mode fast
     // path proves optimality per instance but carries no chaining state,
@@ -446,14 +453,11 @@ pub fn serve_with_hook(
         let _epoch_span = mec_obs::span("serve/epoch");
         let started = Instant::now();
         let now = batch.close_time();
-        // Dense dead mask over device ids (was a `BTreeSet`): the churn
-        // ingest below probes it per task owner/source, and the
-        // re-sourcing scan probes it per candidate device.
-        let mut is_dead = vec![false; stream.system.num_devices()];
-        for &(d, at) in dropouts.iter() {
-            if at <= now && d.0 < is_dead.len() {
+        while let Some(&(d, _)) = dropouts.get(dropped).filter(|(_, at)| *at <= now) {
+            if d.0 < is_dead.len() {
                 is_dead[d.0] = true;
             }
+            dropped += 1;
         }
 
         // Ingest churn: cancel dead owners, replan dead data sources to

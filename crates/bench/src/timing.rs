@@ -88,12 +88,19 @@ impl Harness {
         }
     }
 
+    /// Whether the CLI filter selects `name` — lets a case skip costly
+    /// setup that [`Self::bench`] would throw away.
+    #[must_use]
+    pub fn wants(&self, name: &str) -> bool {
+        self.filter
+            .as_ref()
+            .is_none_or(|filter| name.contains(filter.as_str()))
+    }
+
     /// Times `f`, printing a row unless the CLI filter excludes `name`.
     pub fn bench<R>(&mut self, name: &str, mut f: impl FnMut() -> R) {
-        if let Some(filter) = &self.filter {
-            if !name.contains(filter.as_str()) {
-                return;
-            }
+        if !self.wants(name) {
+            return;
         }
         // Warm-up call, outside the statistics.
         black_box(f());

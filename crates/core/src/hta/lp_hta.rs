@@ -25,7 +25,7 @@ use crate::hta::{cluster_task_indices, HtaAlgorithm};
 use detrand::ChaCha8Rng;
 use linprog::{Basis, LpStatus};
 use mec_sim::task::{ExecutionSite, HolisticTask, TaskId};
-use mec_sim::topology::{MecSystem, StationId};
+use mec_sim::topology::{DeviceId, MecSystem, StationId};
 use mec_sim::units::Bytes;
 use std::collections::HashMap;
 
@@ -638,6 +638,16 @@ impl LpHta {
             RoundingRule::Randomized { seed } => Some(ChaCha8Rng::seed_from_u64(seed)),
             RoundingRule::ArgMax => None,
         };
+        // Repair scratch shared by every cluster: Step 5's owner buckets
+        // and Step 6's member list (a prefix of `0..longest`).
+        let mut by_owner = Buckets::new([]);
+        let longest = fractional
+            .clusters
+            .iter()
+            .map(|c| c.task_indices.len())
+            .max()
+            .unwrap_or(0);
+        let everyone: Vec<usize> = (0..longest).collect();
 
         for cluster in &fractional.clusters {
             let station = cluster.station;
@@ -683,21 +693,17 @@ impl LpHta {
             }
 
             // Step 5: per-device capacity repair (C2).
-            for &device in system.cluster(station)? {
-                let max_i = system.device(device)?.max_resource;
-                repair_capacity(
-                    tasks,
-                    costs,
-                    idxs,
-                    &mut sites,
-                    ExecutionSite::Device,
-                    ExecutionSite::Station,
-                    max_i,
-                    |idx| tasks[idx].owner == device,
-                );
-            }
+            repair_device_capacity(
+                system,
+                tasks,
+                costs,
+                station,
+                idxs,
+                &mut sites,
+                &mut by_owner,
+            )?;
 
-            // Step 6: station capacity repair (C3).
+            // Step 6: station capacity repair (C3), over every position.
             let max_s = system.station(station)?.max_resource;
             repair_capacity(
                 tasks,
@@ -707,7 +713,7 @@ impl LpHta {
                 ExecutionSite::Station,
                 ExecutionSite::Cloud,
                 max_s,
-                |_| true,
+                &everyone[..idxs.len()],
             );
 
             // Materialize decisions.
@@ -789,9 +795,89 @@ fn sample_site(row: &[f64; 3], rng: &mut ChaCha8Rng) -> ExecutionSite {
     ExecutionSite::Cloud
 }
 
-/// Shared logic of Steps 5 and 6: while the tasks at `from` (filtered by
-/// `belongs`) exceed `capacity`, migrate the largest occupation whose
-/// deadline admits `to`; if none is movable, cancel the largest.
+/// Step 5 on one cluster: for each of `station`'s devices, while its own
+/// tasks at the device exceed `max_i`, migrate them to the station.
+///
+/// The cluster's positions are bucketed by owner once (into `by_owner`,
+/// scratch reused across clusters), so each device's pass sees only its
+/// own tasks and the whole step costs one sort plus work proportional to
+/// each device's task count. A bucket holds exactly the positions the
+/// filter `owner == device` selects, in the same ascending order, so the
+/// usage sums and tie-breaks — and therefore the decisions — are those of
+/// a full scan per device.
+fn repair_device_capacity(
+    system: &MecSystem,
+    tasks: &[HolisticTask],
+    costs: &CostTable,
+    station: StationId,
+    idxs: &[usize],
+    sites: &mut [Option<ExecutionSite>],
+    by_owner: &mut Buckets<DeviceId>,
+) -> Result<(), AssignError> {
+    by_owner.refill(
+        idxs.iter()
+            .enumerate()
+            .map(|(k, &idx)| (tasks[idx].owner, k)),
+    );
+    for &device in system.cluster(station)? {
+        let max_i = system.device(device)?.max_resource;
+        repair_capacity(
+            tasks,
+            costs,
+            idxs,
+            sites,
+            ExecutionSite::Device,
+            ExecutionSite::Station,
+            max_i,
+            by_owner.get(device),
+        );
+    }
+    Ok(())
+}
+
+/// Positions grouped by a key: each key's positions, ascending, as one
+/// contiguous slice. Built with one sort, looked up by binary search.
+#[derive(Debug)]
+pub(crate) struct Buckets<K> {
+    /// `(key, position)`, sorted.
+    pairs: Vec<(K, usize)>,
+    /// The positions of `pairs`, in the same order.
+    positions: Vec<usize>,
+}
+
+impl<K: Ord + Copy> Buckets<K> {
+    /// Groups `(key, position)` pairs.
+    pub(crate) fn new(pairs: impl IntoIterator<Item = (K, usize)>) -> Buckets<K> {
+        let mut buckets = Buckets {
+            pairs: Vec::new(),
+            positions: Vec::new(),
+        };
+        buckets.refill(pairs);
+        buckets
+    }
+
+    /// Regroups from scratch, reusing the buffers.
+    pub(crate) fn refill(&mut self, pairs: impl IntoIterator<Item = (K, usize)>) {
+        self.pairs.clear();
+        self.pairs.extend(pairs);
+        self.pairs.sort_unstable();
+        self.positions.clear();
+        self.positions.extend(self.pairs.iter().map(|&(_, k)| k));
+    }
+
+    /// The positions filed under `key`, ascending (empty when none).
+    pub(crate) fn get(&self, key: K) -> &[usize] {
+        let lo = self.pairs.partition_point(|&(k, _)| k < key);
+        let hi = lo + self.pairs[lo..].partition_point(|&(k, _)| k == key);
+        &self.positions[lo..hi]
+    }
+}
+
+/// Shared logic of Steps 5 and 6: while the tasks at `from` among
+/// `members` (positions into `idxs`/`sites`, ascending) exceed `capacity`,
+/// migrate the largest occupation whose deadline admits `to`; if none is
+/// movable, cancel the largest. Ties go to the last largest in `members`
+/// order.
 ///
 /// Also reused by the chaos [`crate::repair`] layer, which feeds it the
 /// *residual* capacity left by unaffected tasks.
@@ -804,50 +890,45 @@ pub(crate) fn repair_capacity(
     from: ExecutionSite,
     to: ExecutionSite,
     capacity: Bytes,
-    belongs: impl Fn(usize) -> bool,
+    members: &[usize],
 ) {
+    let largest = |a: &usize, b: &usize| {
+        tasks[idxs[*a]]
+            .resource
+            .value()
+            .total_cmp(&tasks[idxs[*b]].resource.value())
+    };
+    // Recomputed after every move (never updated incrementally), so the
+    // f64 sum always runs over the same terms in the same order.
     let usage = |sites: &[Option<ExecutionSite>]| -> Bytes {
-        idxs.iter()
-            .enumerate()
-            .filter(|(k, &idx)| sites[*k] == Some(from) && belongs(idx))
-            .map(|(_, &idx)| tasks[idx].resource)
+        members
+            .iter()
+            .filter(|&&k| sites[k] == Some(from))
+            .map(|&k| tasks[idxs[k]].resource)
             .sum()
     };
 
     while usage(sites) > capacity {
-        // Movable set: at `from`, belongs, and deadline-feasible at `to`.
-        let movable = idxs
+        // Movable set: at `from` and deadline-feasible at `to`.
+        let movable = members
             .iter()
-            .enumerate()
-            .filter(|(k, &idx)| {
-                sites[*k] == Some(from)
-                    && belongs(idx)
-                    && costs.feasible(idx, to, tasks[idx].deadline)
+            .copied()
+            .filter(|&k| {
+                let idx = idxs[k];
+                sites[k] == Some(from) && costs.feasible(idx, to, tasks[idx].deadline)
             })
-            .max_by(|(_, &a), (_, &b)| {
-                tasks[a]
-                    .resource
-                    .value()
-                    .total_cmp(&tasks[b].resource.value())
-            })
-            .map(|(k, _)| k);
+            .max_by(largest);
         if let Some(k) = movable {
             sites[k] = Some(to);
             mec_obs::counter_add("lp_hta/repair/migrations", 1);
             continue;
         }
         // Nothing movable: cancel the largest remaining occupant.
-        let victim = idxs
+        let victim = members
             .iter()
-            .enumerate()
-            .filter(|(k, &idx)| sites[*k] == Some(from) && belongs(idx))
-            .max_by(|(_, &a), (_, &b)| {
-                tasks[a]
-                    .resource
-                    .value()
-                    .total_cmp(&tasks[b].resource.value())
-            })
-            .map(|(k, _)| k);
+            .copied()
+            .filter(|&k| sites[k] == Some(from))
+            .max_by(largest);
         match victim {
             Some(k) => {
                 sites[k] = None;
@@ -1244,5 +1325,261 @@ mod tests {
         assert_eq!(argmax_site(&[0.4, 0.4, 0.2]), ExecutionSite::Device);
         assert_eq!(argmax_site(&[0.2, 0.4, 0.4]), ExecutionSite::Station);
         assert_eq!(argmax_site(&[0.1, 0.2, 0.7]), ExecutionSite::Cloud);
+    }
+
+    /// The closure-based Steps 5–6 helper as it stood before the owner
+    /// bucketing, kept verbatim as the oracle the bucketed repair must
+    /// match decision for decision.
+    #[allow(clippy::too_many_arguments)]
+    fn repair_capacity_oracle(
+        tasks: &[HolisticTask],
+        costs: &CostTable,
+        idxs: &[usize],
+        sites: &mut [Option<ExecutionSite>],
+        from: ExecutionSite,
+        to: ExecutionSite,
+        capacity: Bytes,
+        belongs: impl Fn(usize) -> bool,
+    ) {
+        let usage = |sites: &[Option<ExecutionSite>]| -> Bytes {
+            idxs.iter()
+                .enumerate()
+                .filter(|(k, &idx)| sites[*k] == Some(from) && belongs(idx))
+                .map(|(_, &idx)| tasks[idx].resource)
+                .sum()
+        };
+
+        while usage(sites) > capacity {
+            // Movable set: at `from`, belongs, and deadline-feasible at `to`.
+            let movable = idxs
+                .iter()
+                .enumerate()
+                .filter(|(k, &idx)| {
+                    sites[*k] == Some(from)
+                        && belongs(idx)
+                        && costs.feasible(idx, to, tasks[idx].deadline)
+                })
+                .max_by(|(_, &a), (_, &b)| {
+                    tasks[a]
+                        .resource
+                        .value()
+                        .total_cmp(&tasks[b].resource.value())
+                })
+                .map(|(k, _)| k);
+            if let Some(k) = movable {
+                sites[k] = Some(to);
+                mec_obs::counter_add("lp_hta/repair/migrations", 1);
+                continue;
+            }
+            // Nothing movable: cancel the largest remaining occupant.
+            let victim = idxs
+                .iter()
+                .enumerate()
+                .filter(|(k, &idx)| sites[*k] == Some(from) && belongs(idx))
+                .max_by(|(_, &a), (_, &b)| {
+                    tasks[a]
+                        .resource
+                        .value()
+                        .total_cmp(&tasks[b].resource.value())
+                })
+                .map(|(k, _)| k);
+            match victim {
+                Some(k) => {
+                    sites[k] = None;
+                    mec_obs::counter_add("lp_hta/repair/cancellations", 1);
+                }
+                None => break, // no occupants left; capacity must now hold
+            }
+        }
+    }
+
+    /// One random cluster for the repair oracle: station 0 with 1–6
+    /// devices (capacities 0–8 MB, so some overflow and some cannot hold
+    /// a single task), plus station 1 whose device may own a task filed
+    /// under station 0's cluster. Owners skew toward the first devices,
+    /// leaving others with zero tasks; occupations come from three values,
+    /// so the largest is often tied; deadlines make some tasks infeasible
+    /// at the station, the cloud, or everywhere.
+    #[allow(clippy::type_complexity)]
+    fn random_cluster(
+        rng: &mut ChaCha8Rng,
+    ) -> (
+        MecSystem,
+        Vec<HolisticTask>,
+        CostTable,
+        Vec<usize>,
+        Vec<Option<ExecutionSite>>,
+    ) {
+        use detrand::SliceRandom;
+        use mec_sim::radio::NetworkProfile;
+        use mec_sim::topology::Cloud;
+        use mec_sim::units::Hertz;
+
+        let mut b = MecSystem::builder(Cloud {
+            cpu: Hertz::from_ghz(2.4),
+        });
+        let station_mb = [0.0, 2.0, 4.0, 8.0, 100.0][rng.gen_range(0..5usize)];
+        let home = b.add_station(Hertz::from_ghz(4.0), Bytes::from_mb(station_mb));
+        let away = b.add_station(Hertz::from_ghz(4.0), Bytes::from_mb(100.0));
+        let n_home = rng.gen_range(1..=6usize);
+        for d in 0..=n_home {
+            let device_mb = [0.0, 1.0, 2.0, 3.0, 5.0, 8.0][rng.gen_range(0..6usize)];
+            let profile = if rng.gen_bool(0.5) {
+                NetworkProfile::WiFi
+            } else {
+                NetworkProfile::FourG
+            };
+            let station = if d < n_home { home } else { away };
+            b.add_device(
+                station,
+                Hertz::from_ghz(rng.gen_range(1.0..2.0)),
+                profile.link(),
+                Bytes::from_mb(device_mb),
+            )
+            .unwrap();
+        }
+        let system = b.build().unwrap();
+
+        let n_tasks = rng.gen_range(0..=14usize);
+        let mut tasks: Vec<HolisticTask> = (0..n_tasks)
+            .map(|index| {
+                let owner = if rng.gen_bool(0.1) {
+                    n_home // the station-1 device
+                } else {
+                    // Skewed toward low ids: min of two draws.
+                    rng.gen_range(0..n_home).min(rng.gen_range(0..n_home))
+                };
+                HolisticTask {
+                    id: TaskId { user: owner, index },
+                    owner: DeviceId(owner),
+                    local_size: Bytes::from_kb(rng.gen_range(200.0..3000.0)),
+                    external_size: Bytes::ZERO,
+                    external_source: None,
+                    complexity: 1.0,
+                    resource: Bytes::from_mb([1.0, 2.0, 3.0][rng.gen_range(0..3usize)]),
+                    deadline: Seconds::new(1e6),
+                }
+            })
+            .collect();
+        let costs = CostTable::build(&system, &tasks).unwrap();
+        for (i, t) in tasks.iter_mut().enumerate() {
+            let at = |site| costs.at(i, site).time.value();
+            t.deadline = Seconds::new(match rng.gen_range(0..4usize) {
+                0 => 1e6,
+                1 => at(ExecutionSite::Station) * 0.999,
+                2 => at(ExecutionSite::Cloud) * 0.999,
+                _ => 1e-9,
+            });
+        }
+        let costs = CostTable::build(&system, &tasks).unwrap();
+
+        let mut idxs: Vec<usize> = (0..n_tasks).collect();
+        idxs.shuffle(rng);
+        let sites = idxs
+            .iter()
+            .map(|_| match rng.gen_range(0..20usize) {
+                0..=9 => Some(ExecutionSite::Device),
+                10..=14 => Some(ExecutionSite::Station),
+                15..=17 => Some(ExecutionSite::Cloud),
+                _ => None,
+            })
+            .collect();
+        (system, tasks, costs, idxs, sites)
+    }
+
+    #[test]
+    fn bucketed_capacity_repair_matches_the_closure_oracle() {
+        // Moves seen across all cases, by (step, migrated?): the property
+        // only means something if both steps both migrate and cancel.
+        let mut seen = [[0usize; 2]; 2];
+        let mut tally = |step: usize, before: &[Option<ExecutionSite>], after: &[Option<_>]| {
+            for (b, a) in before.iter().zip(after) {
+                if b != a {
+                    seen[step][usize::from(a.is_some())] += 1;
+                }
+            }
+        };
+        detrand::prop::run_cases("bucketed_capacity_repair", 512, |rng| {
+            let (system, tasks, costs, idxs, initial) = random_cluster(rng);
+            let station = StationId(0);
+
+            // Step 5.
+            let mut oracle = initial.clone();
+            for &device in system.cluster(station).unwrap() {
+                let max_i = system.device(device).unwrap().max_resource;
+                repair_capacity_oracle(
+                    &tasks,
+                    &costs,
+                    &idxs,
+                    &mut oracle,
+                    ExecutionSite::Device,
+                    ExecutionSite::Station,
+                    max_i,
+                    |idx| tasks[idx].owner == device,
+                );
+            }
+            let mut bucketed = initial.clone();
+            repair_device_capacity(
+                &system,
+                &tasks,
+                &costs,
+                station,
+                &idxs,
+                &mut bucketed,
+                &mut Buckets::new([]),
+            )
+            .map_err(|e| e.to_string())?;
+            detrand::prop_assert_eq!(&bucketed, &oracle);
+            tally(0, &initial, &oracle);
+
+            // Step 6, from the common Step-5 result.
+            let after_step5 = oracle.clone();
+            let max_s = system.station(station).unwrap().max_resource;
+            repair_capacity_oracle(
+                &tasks,
+                &costs,
+                &idxs,
+                &mut oracle,
+                ExecutionSite::Station,
+                ExecutionSite::Cloud,
+                max_s,
+                |_| true,
+            );
+            let everyone: Vec<usize> = (0..idxs.len()).collect();
+            repair_capacity(
+                &tasks,
+                &costs,
+                &idxs,
+                &mut bucketed,
+                ExecutionSite::Station,
+                ExecutionSite::Cloud,
+                max_s,
+                &everyone,
+            );
+            detrand::prop_assert_eq!(&bucketed, &oracle);
+            tally(1, &after_step5, &oracle);
+            Ok(())
+        });
+        for (step, [cancelled, migrated]) in [5, 6].into_iter().zip(seen) {
+            assert!(
+                cancelled > 0 && migrated > 0,
+                "step {step}: {migrated} migrations, {cancelled} cancellations"
+            );
+        }
+    }
+
+    #[test]
+    fn buckets_group_positions_by_key_in_ascending_order() {
+        let buckets = Buckets::new([(3, 4), (1, 0), (3, 1), (2, 5), (3, 2)]);
+        assert_eq!(buckets.get(3), &[1, 2, 4]);
+        assert_eq!(buckets.get(1), &[0]);
+        assert_eq!(buckets.get(2), &[5]);
+        assert!(buckets.get(0).is_empty());
+        assert!(buckets.get(9).is_empty());
+        assert!(Buckets::<u8>::new([]).get(0).is_empty());
+        let mut reused = buckets;
+        reused.refill([(7, 3), (7, 0)]);
+        assert_eq!(reused.get(7), &[0, 3]);
+        assert!(reused.get(3).is_empty());
     }
 }

@@ -36,7 +36,7 @@ use crate::assignment::{Assignment, Decision};
 use crate::costs::CostTable;
 use crate::dta::Coverage;
 use crate::error::AssignError;
-use crate::hta::lp_hta::repair_capacity;
+use crate::hta::lp_hta::{repair_capacity, Buckets};
 use mec_sim::data::{DataUniverse, ItemSet, OwnersIndex};
 use mec_sim::sim::{
     simulate_chaos_with_arrivals, ChaosOutcome, Contention, FaultHit, FaultHitKind, FaultPlan,
@@ -518,20 +518,45 @@ pub fn execute_with_repair(
         // LP-HTA's Step-6 machinery migrates the overflow to the cloud
         // (never cancels there: cloud capacity is unconstrained).
         if !moved.is_empty() {
-            for station in system.stations() {
-                let committed: f64 = (0..tasks.len())
-                    .filter(|&i| !in_wave[i])
+            // Bucket the committed station tasks and the moved tasks by
+            // station once, each in ascending order, so each station's
+            // residual sum and repair see its own tasks in task order.
+            let station_of = |owner: DeviceId| system.device(owner).map(|d| d.station).ok();
+            let committed_at = Buckets::new(
+                (0..tasks.len())
                     .filter(|&i| {
-                        assignment.decision(i) == Decision::Assigned(ExecutionSite::Station)
-                            && system.device(tasks[i].owner).map(|d| d.station) == Ok(station.id)
+                        !in_wave[i]
+                            && assignment.decision(i) == Decision::Assigned(ExecutionSite::Station)
                     })
-                    .map(|i| tasks[i].resource.value())
+                    .filter_map(|i| station_of(tasks[i].owner).map(|s| (s, i))),
+            );
+            let idxs: Vec<usize> = moved.iter().map(|&(i, _)| i).collect();
+            let moved_to = Buckets::new(
+                idxs.iter()
+                    .enumerate()
+                    .filter_map(|(k, &idx)| station_of(current[idx].owner).map(|s| (s, k))),
+            );
+            let mut sites: Vec<Option<ExecutionSite>> =
+                moved.iter().map(|&(_, s)| Some(s)).collect();
+            // Every moved task was pushed to `pending` exactly once this
+            // wave; cancelled ones leave it after the pass.
+            let mut slot_of = vec![usize::MAX; tasks.len()];
+            for (slot, p) in pending.iter().enumerate() {
+                slot_of[p.idx] = slot;
+            }
+            let mut cancelled = vec![false; tasks.len()];
+            for station in system.stations() {
+                let members = moved_to.get(station.id);
+                if members.is_empty() {
+                    continue;
+                }
+                let committed: f64 = committed_at
+                    .get(station.id)
+                    .iter()
+                    .map(|&i| tasks[i].resource.value())
                     .sum();
                 let residual =
                     mec_sim::units::Bytes::new((station.max_resource.value() - committed).max(0.0));
-                let idxs: Vec<usize> = moved.iter().map(|&(i, _)| i).collect();
-                let mut sites: Vec<Option<ExecutionSite>> =
-                    moved.iter().map(|&(_, s)| Some(s)).collect();
                 repair_capacity(
                     &current,
                     &costs,
@@ -540,12 +565,11 @@ pub fn execute_with_repair(
                     ExecutionSite::Station,
                     ExecutionSite::Cloud,
                     residual,
-                    |idx| system.device(current[idx].owner).map(|d| d.station) == Ok(station.id),
+                    members,
                 );
-                for (k, &idx) in idxs.iter().enumerate() {
-                    let Some(p) = pending.iter_mut().find(|p| p.idx == idx) else {
-                        continue;
-                    };
+                for &k in members {
+                    let idx = idxs[k];
+                    let p = &mut pending[slot_of[idx]];
                     match sites[k] {
                         Some(site) if site != p.site => {
                             mec_obs::counter_add("chaos/repair/reassignments", 1);
@@ -563,8 +587,7 @@ pub fn execute_with_repair(
                         Some(_) => {}
                         None => {
                             let site = p.site;
-                            let release = p.release;
-                            pending.retain(|q| q.idx != idx);
+                            cancelled[idx] = true;
                             abandon(
                                 idx,
                                 site,
@@ -576,11 +599,11 @@ pub fn execute_with_repair(
                                 &attempts,
                                 tasks,
                             );
-                            let _ = release;
                         }
                     }
                 }
             }
+            pending.retain(|p| !cancelled[p.idx]);
         }
     }
 
@@ -1100,6 +1123,69 @@ mod tests {
         let json = djson::to_string(&a);
         let back: ChaosRunReport = djson::from_str(&json).unwrap();
         assert_eq!(back, a);
+    }
+
+    /// The capacity pass must keep every station's migrations: a task
+    /// moved to the cloud by its own station's pass stays there when a
+    /// later station's pass runs. Two tasks re-sourced onto station 0,
+    /// whose 1.5 MB cannot hold both 1 MB occupations; station 1 comes
+    /// after it in station order and owns neither task.
+    #[test]
+    fn capacity_migration_survives_later_stations_passes() {
+        let mut b = MecSystem::builder(Cloud {
+            cpu: Hertz::from_ghz(2.4),
+        });
+        let s0 = b.add_station(Hertz::from_ghz(4.0), Bytes::from_mb(1.5));
+        let s1 = b.add_station(Hertz::from_ghz(4.0), Bytes::from_mb(200.0));
+        for st in [s0, s0, s0, s1] {
+            b.add_device(
+                st,
+                Hertz::from_ghz(1.0),
+                NetworkProfile::WiFi.link(),
+                Bytes::from_mb(8.0),
+            )
+            .unwrap();
+        }
+        let system = b.build().unwrap();
+        // Both tasks read shared data from device 1, which dies at t = 0.
+        let tasks = vec![task(0, 0, Some(1)), task(1, 2, Some(1))];
+        let assignment = Assignment::uniform(2, ExecutionSite::Station);
+        let faults = FaultPlan::new(
+            &system,
+            vec![Fault::Dropout {
+                device: DeviceId(1),
+                at: Seconds::ZERO,
+            }],
+        )
+        .unwrap();
+        let report = execute_with_repair(
+            &system,
+            &tasks,
+            &assignment,
+            Contention::Exclusive,
+            &faults,
+            &RepairPolicy::default(),
+        )
+        .unwrap();
+        let moves: Vec<(TaskId, ExecutionSite, ExecutionSite)> = report
+            .events
+            .iter()
+            .filter_map(|e| match e.action {
+                RepairAction::Reassigned { from, to } => Some((e.task, from, to)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            moves,
+            vec![(tasks[1].id, ExecutionSite::Station, ExecutionSite::Cloud)],
+            "{:?}",
+            report.events
+        );
+        let sites: Vec<Option<ExecutionSite>> = report.results.iter().map(|r| r.site).collect();
+        assert_eq!(
+            sites,
+            vec![Some(ExecutionSite::Station), Some(ExecutionSite::Cloud)]
+        );
     }
 
     #[test]

@@ -176,3 +176,46 @@ fn steady_state_warm_hit_rate_clears_the_bar() {
     assert!(report.warm_attempts > 0);
     par::set_threads(0);
 }
+
+/// Pins a greedy-seeded session: clusters of 2000 devices exceed
+/// `lp_cluster_limit`, so no LP runs and every decision comes from the
+/// greedy seed plus the Step-4–6 repairs — the path the 10⁵-device fleet
+/// takes, with one task per device on average. Recorded before LP-HTA's
+/// capacity repair was bucketed by owner; the bucketing must not move it.
+#[test]
+fn greedy_seeded_large_cluster_fingerprint_is_pinned() {
+    let _guard = threads_lock();
+    par::set_threads(0);
+    let cfg = ServeConfig {
+        seed: 42,
+        epochs: 2,
+        batch: 8000,
+        num_stations: 4,
+        devices_per_station: 2000,
+        ..ServeConfig::default()
+    };
+    let report = serve(&cfg).unwrap();
+    assert_eq!(report.session_fingerprint, "4c8c7708c7275c84");
+}
+
+/// Pins the CI heavy config (20 stations × 20 devices, batch 500, churn
+/// seed 12648430) at 7 epochs — the shortest session whose rounding
+/// migrates tasks in the Step-5/6 capacity repair
+/// (`lp_hta/repair/migrations` = 2), so the repair's choice of victims is
+/// covered by a pinned digest, not only by its feasibility.
+#[test]
+fn heavy_churn_session_with_capacity_migrations_is_pinned() {
+    let _guard = threads_lock();
+    par::set_threads(0);
+    let cfg = ServeConfig {
+        seed: 42,
+        epochs: 7,
+        batch: 500,
+        num_stations: 20,
+        devices_per_station: 20,
+        chaos: Some(12_648_430),
+        ..ServeConfig::default()
+    };
+    let report = serve(&cfg).unwrap();
+    assert_eq!(report.session_fingerprint, "34b2a24488d66fc8");
+}
