@@ -1,7 +1,8 @@
 //! Timing benches of the assignment algorithms themselves: LP-HTA (with
 //! and without the exact fast path, and its rounding alone at fleet
 //! scale), the comparators,
-//! the exact branch-and-bound, and the DTA divisions.
+//! the exact branch-and-bound, and the DTA divisions (up to the `scale`
+//! experiment's 10⁵ devices).
 //!
 //! Plain `harness = false` binary on [`mec_bench::timing`]; filter cases
 //! with `cargo bench --bench algorithms -- <substring>`.
@@ -97,12 +98,36 @@ fn bench_dta(h: &mut Harness) {
             divide_min_devices(&s.universe, &required).unwrap()
         });
     }
+    bench_dta_scale(h);
     // The whole pipeline at the paper's default scale.
     let s = DivisibleScenarioConfig::paper_defaults(8500)
         .generate()
         .unwrap();
     h.bench("dta/pipeline_workload_100_tasks", || {
         run_dta(&s, DtaConfig::workload()).unwrap()
+    });
+}
+
+/// Both DTA divisions on the `scale` experiment's quick-mode universe at
+/// seed 101: 200 × 500 = 10⁵ devices, 2048 items, 1200 tasks.
+fn bench_dta_scale(h: &mut Harness) {
+    const NAMES: [&str; 2] = ["dta/divide_balanced/scale", "dta/divide_min_devices/scale"];
+    if !NAMES.iter().any(|name| h.wants(name)) {
+        return;
+    }
+    let mut cfg = DivisibleScenarioConfig::paper_defaults(101);
+    cfg.base.num_stations = 200;
+    cfg.base.devices_per_station = 500;
+    cfg.num_items = 2048;
+    cfg.tasks_total = 1200;
+    cfg.items_per_task = (4, 20);
+    let s = cfg.generate().expect("generation");
+    let required = s.required_universe();
+    h.bench(NAMES[0], || {
+        divide_balanced(&s.universe, &required).unwrap()
+    });
+    h.bench(NAMES[1], || {
+        divide_min_devices(&s.universe, &required).unwrap()
     });
 }
 

@@ -18,7 +18,7 @@
 
 use crate::dta::coverage::Coverage;
 use crate::error::AssignError;
-use mec_sim::data::{DataUniverse, HoldingsMatrix, ItemSet, OwnersIndex};
+use mec_sim::data::{DataUniverse, HoldingsMatrix, ItemSet, OwnersIndex, Selection};
 use mec_sim::topology::DeviceId;
 
 /// DTA-Workload: the paper's Section IV.A greedy (smallest usable set
@@ -47,12 +47,6 @@ pub fn divide_min_devices(
     required: &ItemSet,
 ) -> Result<Coverage, AssignError> {
     divide_greedy(universe, required, Selection::LargestFirst)
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Selection {
-    SmallestFirst,
-    LargestFirst,
 }
 
 /// Rejects item sets built for a different universe before any bitset
@@ -84,39 +78,27 @@ fn divide_greedy(
     let mut shares = vec![ItemSet::new(required.capacity()); n];
 
     // Word-major holdings matrix plus incrementally maintained usable
-    // counts `|D_i ∩ residual|` turn each greedy round into two
-    // cache-linear scans (a u32 argmin/argmax and a per-word decrement
-    // over the grabbed items) instead of re-intersecting every device's
-    // bitset. The counts stay exact because each grab is a subset of the
-    // residual, so the drop per device is precisely `|D_i ∩ grab|`.
+    // counts `|D_i ∩ residual|` turn each greedy round into one
+    // cache-linear pass: the grab's per-word decrement, fused with the
+    // chunk minima that let the next round find its device without
+    // scanning every count (DESIGN.md §11). The counts stay exact because
+    // each grab is a subset of the residual, so the drop per device is
+    // precisely `|D_i ∩ grab|`.
     let matrix = HoldingsMatrix::build(universe);
-    let mut usable = matrix.usable_counts(&residual);
+    let mut usable = matrix.greedy_counts(&residual, selection);
+    let mut next = usable.select();
 
     while !residual.is_empty() {
         mec_obs::counter_add("dta/greedy/rounds", 1);
         mec_obs::observe("dta/greedy/residual_items", residual.len() as f64);
-        let mut chosen: Option<(usize, u32)> = None; // (device, usable size)
-        for (i, &count) in usable.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            let better = match (selection, chosen) {
-                (_, None) => true,
-                (Selection::SmallestFirst, Some((_, best))) => count < best,
-                (Selection::LargestFirst, Some((_, best))) => count > best,
-            };
-            if better {
-                chosen = Some((i, count));
-            }
-        }
-        let Some((device, _)) = chosen else {
+        let Some(device) = next else {
             return Err(AssignError::Unsupported {
                 algorithm: "data division",
                 reason: format!("{} required items are owned by no device", residual.len()),
             });
         };
         let grab = universe.holdings(DeviceId(device))?.intersection(&residual);
-        matrix.subtract_counts(&mut usable, &grab);
+        next = matrix.subtract_and_select(&mut usable, &grab);
         shares[device].union_with(&grab);
         residual.subtract(&grab);
     }
@@ -559,6 +541,141 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    /// The paper's greedy verbatim: every round re-intersects every
+    /// device's holdings with the residual and takes the first device
+    /// with the strictly smallest (largest) nonempty usable set.
+    fn naive_greedy(universe: &DataUniverse, required: &ItemSet, selection: Selection) -> Coverage {
+        let n = universe.num_devices();
+        let mut residual = required.clone();
+        let mut shares = vec![ItemSet::new(required.capacity()); n];
+        while !residual.is_empty() {
+            let mut chosen: Option<(usize, usize)> = None; // (device, usable size)
+            for i in 0..n {
+                let size = universe
+                    .holdings(DeviceId(i))
+                    .unwrap()
+                    .intersection_len(&residual);
+                if size == 0 {
+                    continue;
+                }
+                let better = match (selection, chosen) {
+                    (_, None) => true,
+                    (Selection::SmallestFirst, Some((_, best))) => size < best,
+                    (Selection::LargestFirst, Some((_, best))) => size > best,
+                };
+                if better {
+                    chosen = Some((i, size));
+                }
+            }
+            let (device, _) = chosen.expect("every required item is owned");
+            let grab = universe
+                .holdings(DeviceId(device))
+                .unwrap()
+                .intersection(&residual);
+            shares[device].union_with(&grab);
+            residual.subtract(&grab);
+        }
+        Coverage::new(shares)
+    }
+
+    /// A random universe for the oracle property: device counts around
+    /// the selection chunk width, item counts mostly off a word multiple,
+    /// and holdings drawn from a tiny palette of region widths so many
+    /// devices tie on their usable counts.
+    fn random_universe(rng: &mut detrand::ChaCha8Rng) -> (DataUniverse, ItemSet) {
+        use mec_sim::data::SELECT_CHUNK;
+        let n = match rng.gen_range(0..5usize) {
+            0 => 1,
+            1 => rng.gen_range(2..SELECT_CHUNK),
+            2 => SELECT_CHUNK,
+            3 => SELECT_CHUNK * 2,
+            _ => SELECT_CHUNK * 2 + rng.gen_range(1..SELECT_CHUNK),
+        };
+        let m = if rng.gen_bool(0.2) {
+            64 * rng.gen_range(1..4usize)
+        } else {
+            rng.gen_range(1..200usize)
+        };
+        let palette: Vec<usize> = (0..rng.gen_range(1..4usize))
+            .map(|_| {
+                let widest = if rng.gen_bool(0.5) { m.min(4) } else { m };
+                rng.gen_range(1..=widest)
+            })
+            .collect();
+        let mut holdings = vec![ItemSet::new(m); n];
+        for h in &mut holdings {
+            if rng.gen_bool(0.1) {
+                // A scattered holding next to the contiguous regions.
+                for item in 0..m {
+                    if rng.gen_bool(0.2) {
+                        h.insert(DataItemId(item));
+                    }
+                }
+                continue;
+            }
+            let width = palette[rng.gen_range(0..palette.len())];
+            let start = rng.gen_range(0..m);
+            for k in 0..width {
+                h.insert(DataItemId((start + k) % m));
+            }
+        }
+        let mut covered = ItemSet::new(m);
+        for h in &holdings {
+            covered.union_with(h);
+        }
+        for item in 0..m {
+            if !covered.contains(DataItemId(item)) {
+                holdings[rng.gen_range(0..n)].insert(DataItemId(item));
+            }
+        }
+        let required = if rng.gen_bool(0.5) {
+            ItemSet::full(m)
+        } else {
+            ItemSet::from_ids(m, (0..m).filter(|_| rng.gen_bool(0.6)).map(DataItemId))
+        };
+        let u = DataUniverse::new(vec![Bytes::from_kb(1.0); m], holdings).unwrap();
+        (u, required)
+    }
+
+    #[test]
+    fn fused_greedy_matches_the_naive_oracle() {
+        let (mut tied, mut multi_word) = (0, 0);
+        detrand::prop::run_cases("fused_greedy_matches_the_naive_oracle", 160, |rng| {
+            let (u, required) = random_universe(rng);
+            for selection in [Selection::SmallestFirst, Selection::LargestFirst] {
+                let fused = divide_greedy(&u, &required, selection).map_err(|e| e.to_string())?;
+                let naive = naive_greedy(&u, &required, selection);
+                let pairs = fused.shares().iter().zip(naive.shares());
+                let first_diff = pairs.clone().position(|(a, b)| a != b);
+                detrand::prop_assert_eq!(
+                    (fused.shares().len(), first_diff),
+                    (naive.shares().len(), None),
+                    "{selection:?}, {} devices, {} items: first differing share",
+                    u.num_devices(),
+                    u.num_items()
+                );
+                // Each device is picked at most once, so a share is one
+                // round's grab.
+                let wide = |s: &ItemSet| s.words().iter().filter(|&&w| w != 0).count() > 1;
+                multi_word += usize::from(fused.shares().iter().any(wide));
+            }
+            let counts = HoldingsMatrix::build(&u).usable_counts(&required);
+            let smallest = counts.iter().filter(|&&c| c > 0).min();
+            tied += usize::from(
+                smallest.is_some_and(|s| counts.iter().filter(|&c| c == s).count() > 1),
+            );
+            Ok(())
+        });
+        assert!(
+            tied > 40,
+            "only {tied} cases tie on the first round's choice"
+        );
+        assert!(
+            multi_word > 40,
+            "only {multi_word} runs grab multiple words at once"
+        );
     }
 
     #[test]

@@ -11,7 +11,9 @@
 use crate::error::MecError;
 use crate::topology::DeviceId;
 use crate::units::Bytes;
+use djson::{FromJson, Json, JsonError, ObjReader, ToJson};
 use std::fmt;
+use std::ops::Range;
 
 /// Identifier of one data item: an index into the universe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -125,6 +127,34 @@ impl ItemSet {
         let was = self.words[w] & (1 << b) != 0;
         self.words[w] |= 1 << b;
         !was
+    }
+
+    /// Inserts every item of `range` a whole word at a time: the partial
+    /// first and last words take a mask, the words between are filled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range.end > capacity`.
+    pub fn insert_range(&mut self, range: Range<usize>) {
+        assert!(
+            range.end <= self.capacity,
+            "range end {} beyond capacity {}",
+            range.end,
+            self.capacity
+        );
+        if range.is_empty() {
+            return;
+        }
+        let (first, last) = (range.start / 64, (range.end - 1) / 64);
+        let head = u64::MAX << (range.start % 64);
+        let tail = u64::MAX >> (63 - (range.end - 1) % 64);
+        if first == last {
+            self.words[first] |= head & tail;
+        } else {
+            self.words[first] |= head;
+            self.words[first + 1..last].fill(u64::MAX);
+            self.words[last] |= tail;
+        }
     }
 
     /// Removes an item; returns whether it was present.
@@ -488,44 +518,188 @@ impl HoldingsMatrix {
     /// Panics when `set` was built for a different universe (word count
     /// mismatch), mirroring the [`ItemSet`] capacity assertions.
     pub fn usable_counts(&self, set: &ItemSet) -> Vec<u32> {
+        self.check_words(set);
         let mut counts = vec![0u32; self.num_devices];
-        self.fold_counts(&mut counts, set, false);
+        for (w, &sw) in set.words().iter().enumerate() {
+            if sw != 0 {
+                for (c, &hw) in counts.iter_mut().zip(self.word_row(w)) {
+                    *c += (hw & sw).count_ones();
+                }
+            }
+        }
         counts
     }
 
-    /// Decrements `counts[i]` by `|D_i ∩ removed|` for every device —
-    /// the exact drop in usable counts when `removed ⊆ residual` leaves
-    /// the residual set.
+    /// Seeds a DTA greedy run over `residual`: its usable counts plus the
+    /// chunk minima of their selection keys.
+    ///
+    /// # Panics
+    ///
+    /// Panics on word-count mismatch with the universe.
+    pub fn greedy_counts(&self, residual: &ItemSet, selection: Selection) -> GreedyCounts {
+        let counts = self.usable_counts(residual);
+        let chunk_min = counts
+            .chunks(SELECT_CHUNK)
+            .map(|chunk| {
+                chunk
+                    .iter()
+                    .map(|&c| selection.signed_key(c))
+                    .min()
+                    .unwrap_or(i32::MAX)
+            })
+            .collect();
+        GreedyCounts {
+            selection,
+            counts,
+            chunk_min,
+        }
+    }
+
+    /// One greedy round's bookkeeping in one pass per nonzero word of
+    /// `removed`: every device's count drops by `|D_i ∩ removed|` (the
+    /// exact drop when `removed ⊆ residual` leaves the residual set), and
+    /// the last word's pass also recomputes the chunk minima. Returns the
+    /// device the next round takes ([`GreedyCounts::select`]).
+    ///
+    /// A one-bit word, the common case, costs a shift and a mask per
+    /// device instead of a popcount.
     ///
     /// # Panics
     ///
     /// Panics on word-count mismatch with the universe, or (in debug
     /// builds, via overflow checks) when a count underflows — i.e. when
     /// `removed` was not a subset of the residual the counts track.
-    pub fn subtract_counts(&self, counts: &mut [u32], removed: &ItemSet) {
-        self.fold_counts(counts, removed, true);
+    pub fn subtract_and_select(
+        &self,
+        state: &mut GreedyCounts,
+        removed: &ItemSet,
+    ) -> Option<usize> {
+        self.check_words(removed);
+        assert_eq!(state.counts.len(), self.num_devices, "one count per device");
+        let mut nonzero = removed
+            .words()
+            .iter()
+            .enumerate()
+            .filter(|&(_, &sw)| sw != 0)
+            .peekable();
+        while let Some((w, &sw)) = nonzero.next() {
+            let minima = match nonzero.peek() {
+                Some(_) => None,
+                None => Some((state.chunk_min.as_mut_slice(), state.selection)),
+            };
+            let row = self.word_row(w);
+            if sw.is_power_of_two() {
+                let b = sw.trailing_zeros();
+                subtract_pass(&mut state.counts, row, |hw| ((hw >> b) & 1) as u32, minima);
+            } else {
+                subtract_pass(&mut state.counts, row, |hw| (hw & sw).count_ones(), minima);
+            }
+        }
+        state.select()
     }
 
-    fn fold_counts(&self, counts: &mut [u32], set: &ItemSet, subtract: bool) {
+    fn check_words(&self, set: &ItemSet) {
         assert_eq!(
             set.words().len(),
             self.words_per_set,
             "capacity mismatch between item set and holdings matrix"
         );
-        assert_eq!(counts.len(), self.num_devices, "one count per device");
-        for (w, &sw) in set.words().iter().enumerate() {
-            if sw == 0 {
-                continue;
-            }
-            for (c, &hw) in counts.iter_mut().zip(self.word_row(w)) {
-                let overlap = (hw & sw).count_ones();
-                if subtract {
-                    *c -= overlap;
-                } else {
-                    *c += overlap;
-                }
-            }
+    }
+}
+
+/// Devices per chunk whose minimum selection key [`GreedyCounts`] keeps,
+/// so a round's selection scans `n / SELECT_CHUNK` minima plus one chunk.
+pub const SELECT_CHUNK: usize = 512;
+
+/// Which device a DTA greedy round takes (paper §IV.A and §IV.B). Both
+/// rules pick the *first* device with the smallest selection key — the
+/// usable count `c` mapped to `c − 1` (wrapping) or `u32::MAX − c` —
+/// which is exactly a first-index scan with a strict `<` (`>`) over the
+/// nonzero usable counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Selection {
+    /// Smallest nonempty usable set first (DTA-Workload).
+    SmallestFirst,
+    /// Largest usable set first (DTA-Number).
+    LargestFirst,
+}
+
+impl Selection {
+    /// The selection key of a usable count: `count − 1` (wrapping) for
+    /// [`Selection::SmallestFirst`], `u32::MAX − count` for
+    /// [`Selection::LargestFirst`]. Both are monotone in the rule's
+    /// preference and map a zero count to `u32::MAX`, above every
+    /// nonzero count's key.
+    fn key(self, count: u32) -> u32 {
+        match self {
+            Selection::SmallestFirst => count.wrapping_sub(1),
+            Selection::LargestFirst => u32::MAX - count,
         }
+    }
+
+    /// [`Self::key`] with its top bit flipped, read as `i32`: the
+    /// same order under a signed compare, which SSE2 vectorizes directly
+    /// (an unsigned one needs extra sign flips per lane).
+    fn signed_key(self, count: u32) -> i32 {
+        (self.key(count) ^ (1 << 31)) as i32
+    }
+}
+
+/// Per-device usable counts `|D_i ∩ residual|` of a DTA greedy run, plus
+/// the minimum selection key of each [`SELECT_CHUNK`]-device chunk (kept
+/// in the signed form the fused pass computes).
+/// Seeded by [`HoldingsMatrix::greedy_counts`] and advanced one round at
+/// a time by [`HoldingsMatrix::subtract_and_select`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GreedyCounts {
+    selection: Selection,
+    counts: Vec<u32>,
+    chunk_min: Vec<i32>,
+}
+
+impl GreedyCounts {
+    /// The device with the smallest key, first index on ties: the first
+    /// chunk holding the smallest chunk minimum, then the first device in
+    /// it with that key. `None` when every count is zero.
+    pub fn select(&self) -> Option<usize> {
+        let (chunk, &min) = self.chunk_min.iter().enumerate().min_by_key(|&(_, &k)| k)?;
+        if min == i32::MAX {
+            return None;
+        }
+        let start = chunk * SELECT_CHUNK;
+        self.counts[start..]
+            .iter()
+            .take(SELECT_CHUNK)
+            .position(|&c| self.selection.signed_key(c) == min)
+            .map(|pos| start + pos)
+    }
+}
+
+/// `counts[i] -= overlap(row[i])` for every device; with `minima`, also
+/// stores each chunk's minimum selection key after the update.
+#[inline(always)]
+fn subtract_pass(
+    counts: &mut [u32],
+    row: &[u64],
+    overlap: impl Fn(u64) -> u32,
+    minima: Option<(&mut [i32], Selection)>,
+) {
+    let Some((chunk_min, selection)) = minima else {
+        for (c, &hw) in counts.iter_mut().zip(row) {
+            *c -= overlap(hw);
+        }
+        return;
+    };
+    let chunks = counts
+        .chunks_mut(SELECT_CHUNK)
+        .zip(row.chunks(SELECT_CHUNK));
+    for ((cs, hs), m) in chunks.zip(chunk_min) {
+        let mut min = i32::MAX;
+        for (c, &hw) in cs.iter_mut().zip(hs) {
+            *c -= overlap(hw);
+            min = min.min(selection.signed_key(*c));
+        }
+        *m = min;
     }
 }
 
@@ -582,11 +756,66 @@ impl OwnersIndex {
 
 // JSON codecs (wire-compatible with the former serde derives).
 djson::impl_json_newtype!(DataItemId(usize));
-djson::impl_json_struct!(ItemSet { capacity, words });
-djson::impl_json_struct!(DataUniverse {
-    item_sizes,
-    holdings
-});
+
+impl ToJson for ItemSet {
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("capacity".to_string(), self.capacity.to_json()),
+            ("words".to_string(), self.words.to_json()),
+        ])
+    }
+}
+
+impl FromJson for ItemSet {
+    /// Hand-written so decoded bytes uphold the bitset invariants every
+    /// word-parallel scan relies on: exactly `capacity.div_ceil(64)`
+    /// words, and no bit set at or beyond `capacity`.
+    fn from_json(value: &Json) -> Result<Self, JsonError> {
+        let mut reader = ObjReader::new(value, "ItemSet")?;
+        let capacity: usize = reader.field("capacity")?;
+        let words: Vec<u64> = reader.field("words")?;
+        reader.finish()?;
+        let expected = capacity.div_ceil(64);
+        if words.len() != expected {
+            return Err(JsonError::msg(format!(
+                "{} words for capacity {capacity}, expected {expected}",
+                words.len()
+            ))
+            .at("ItemSet.words"));
+        }
+        let spare = expected * 64 - capacity;
+        if spare > 0 && words[expected - 1] & !(u64::MAX >> spare) != 0 {
+            return Err(
+                JsonError::msg(format!("bits set at or beyond capacity {capacity}"))
+                    .at("ItemSet.words"),
+            );
+        }
+        Ok(ItemSet { capacity, words })
+    }
+}
+
+impl ToJson for DataUniverse {
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("item_sizes".to_string(), self.item_sizes.to_json()),
+            ("holdings".to_string(), self.holdings.to_json()),
+        ])
+    }
+}
+
+impl FromJson for DataUniverse {
+    /// Decodes through [`DataUniverse::new`], so a decoded universe has
+    /// the same guarantees as a built one (matching capacities, positive
+    /// sizes, every item owned).
+    fn from_json(value: &Json) -> Result<Self, JsonError> {
+        let mut reader = ObjReader::new(value, "DataUniverse")?;
+        let item_sizes = reader.field("item_sizes")?;
+        let holdings = reader.field("holdings")?;
+        reader.finish()?;
+        DataUniverse::new(item_sizes, holdings)
+            .map_err(|e| JsonError::msg(e.to_string()).at("DataUniverse"))
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -705,14 +934,138 @@ mod tests {
         for (i, h) in holdings.iter().enumerate() {
             assert_eq!(counts[i] as usize, h.intersection_len(&required));
         }
-        // Subtracting a subset of the tracked set keeps counts exact.
-        let mut counts = counts;
-        let removed = ItemSet::from_ids(130, ids(&[64, 128]));
-        matrix.subtract_counts(&mut counts, &removed);
-        let residual = required.difference(&removed);
-        for (i, h) in holdings.iter().enumerate() {
-            assert_eq!(counts[i] as usize, h.intersection_len(&residual));
+        // Subtracting a subset of the tracked set keeps counts exact,
+        // for a multi-word and then a one-bit removal.
+        let mut state = matrix.greedy_counts(&required, Selection::SmallestFirst);
+        assert_eq!(state.counts, counts);
+        let mut residual = required.clone();
+        for removed in [ids(&[64, 128]), ids(&[0])] {
+            let removed = ItemSet::from_ids(130, removed);
+            matrix.subtract_and_select(&mut state, &removed);
+            residual.subtract(&removed);
+            for (i, h) in holdings.iter().enumerate() {
+                assert_eq!(state.counts[i] as usize, h.intersection_len(&residual));
+            }
         }
+    }
+
+    #[test]
+    fn selection_keys_order_counts_and_park_zero_last() {
+        for selection in [Selection::SmallestFirst, Selection::LargestFirst] {
+            assert_eq!(selection.key(0), u32::MAX);
+        }
+        assert!(Selection::SmallestFirst.key(1) < Selection::SmallestFirst.key(2));
+        assert!(Selection::LargestFirst.key(2) < Selection::LargestFirst.key(1));
+        assert!(Selection::LargestFirst.key(1) < u32::MAX);
+        for selection in [Selection::SmallestFirst, Selection::LargestFirst] {
+            for count in [0, 1, 2, 63, 1 << 31, u32::MAX - 1, u32::MAX] {
+                let flipped = (selection.key(count) ^ (1 << 31)) as i32;
+                assert_eq!(
+                    selection.signed_key(count),
+                    flipped,
+                    "{selection:?} {count}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn greedy_selection_takes_the_first_extreme_across_chunks() {
+        // Counts 3 everywhere except two tied 1s and two tied 5s, placed
+        // in different chunks: the first of each tie wins.
+        let n = 2 * SELECT_CHUNK + 7;
+        let m = 8;
+        let mut holdings = vec![ItemSet::from_ids(m, ids(&[0, 1, 2])); n];
+        for i in [SELECT_CHUNK + 3, 2 * SELECT_CHUNK + 1] {
+            holdings[i] = ItemSet::from_ids(m, ids(&[7]));
+        }
+        for i in [SELECT_CHUNK - 1, 2 * SELECT_CHUNK + 6] {
+            holdings[i] = ItemSet::from_ids(m, ids(&[2, 3, 4, 5, 6]));
+        }
+        let u = DataUniverse::new(vec![Bytes::new(1.0); m], holdings).unwrap();
+        let matrix = HoldingsMatrix::build(&u);
+        let full = ItemSet::full(m);
+        let smallest = matrix.greedy_counts(&full, Selection::SmallestFirst);
+        assert_eq!(smallest.select(), Some(SELECT_CHUNK + 3));
+        let mut largest = matrix.greedy_counts(&full, Selection::LargestFirst);
+        assert_eq!(largest.select(), Some(SELECT_CHUNK - 1));
+        // Removing every item leaves nothing to select.
+        assert_eq!(matrix.subtract_and_select(&mut largest, &full), None);
+        assert!(largest.counts.iter().all(|&c| c == 0));
+    }
+
+    #[test]
+    fn insert_range_matches_per_item_inserts() {
+        detrand::prop::run_cases("insert_range_matches_per_item_inserts", 256, |rng| {
+            let capacity = match rng.gen_range(0..3usize) {
+                0 => 64 * rng.gen_range(1..5usize),
+                1 => rng.gen_range(1..300usize),
+                _ => 64 * rng.gen_range(1..5usize) + rng.gen_range(1..64usize),
+            };
+            // Ends drawn from word boundaries half of the time.
+            let end_point = |rng: &mut detrand::ChaCha8Rng| {
+                if rng.gen_bool(0.5) {
+                    (64 * rng.gen_range(0..=capacity / 64)).min(capacity)
+                } else {
+                    rng.gen_range(0..=capacity)
+                }
+            };
+            let (a, b) = (end_point(rng), end_point(rng));
+            let range = a.min(b)..a.max(b);
+            // A preset item checks that the fill adds to the set.
+            let mut filled = ItemSet::new(capacity);
+            filled.insert(DataItemId(capacity - 1));
+            let mut expected = filled.clone();
+            filled.insert_range(range.clone());
+            for item in range.clone() {
+                expected.insert(DataItemId(item));
+            }
+            detrand::prop_assert_eq!(filled, expected, "capacity {capacity}, range {range:?}");
+            Ok(())
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond capacity")]
+    fn insert_range_past_capacity_panics() {
+        ItemSet::new(70).insert_range(60..71);
+    }
+
+    #[test]
+    fn item_set_decode_rejects_a_wrong_word_count() {
+        let err = djson::from_str::<ItemSet>(r#"{"capacity":3,"words":[7,1]}"#).unwrap_err();
+        assert!(err.to_string().contains("expected 1"), "{err}");
+        assert!(djson::from_str::<ItemSet>(r#"{"capacity":65,"words":[1]}"#).is_err());
+    }
+
+    #[test]
+    fn item_set_decode_rejects_bits_past_capacity() {
+        let err = djson::from_str::<ItemSet>(r#"{"capacity":3,"words":[8]}"#).unwrap_err();
+        assert!(err.to_string().contains("beyond capacity 3"), "{err}");
+        // Bit 2 is the last valid one.
+        let ok = djson::from_str::<ItemSet>(r#"{"capacity":3,"words":[4]}"#).unwrap();
+        assert!(ok.contains(DataItemId(2)));
+    }
+
+    #[test]
+    fn universe_decode_rejects_what_new_rejects() {
+        // Item 1 is owned by no device.
+        let uncovered = r#"{"item_sizes":[1.0,1.0],"holdings":[{"capacity":2,"words":[1]}]}"#;
+        let err = djson::from_str::<DataUniverse>(uncovered).unwrap_err();
+        assert!(err.to_string().contains("owned by no device"), "{err}");
+        // A holding built for a different item count.
+        let mismatched = r#"{"item_sizes":[1.0],"holdings":[{"capacity":2,"words":[3]}]}"#;
+        let err = djson::from_str::<DataUniverse>(mismatched).unwrap_err();
+        assert!(err.to_string().contains("capacity"), "{err}");
+    }
+
+    #[test]
+    fn generated_universe_round_trips_through_json() {
+        let mut cfg = crate::workload::DivisibleScenarioConfig::paper_defaults(5);
+        cfg.num_items = 130;
+        let universe = cfg.generate().unwrap().universe;
+        let back: DataUniverse = djson::from_str(&djson::to_string(&universe)).unwrap();
+        assert_eq!(back, universe);
     }
 
     #[test]

@@ -347,9 +347,7 @@ impl DivisibleScenarioConfig {
             };
             let span = ((width * m as f64).round() as usize).clamp(1, m);
             let start = rng.gen_range(0..m);
-            for k in 0..span {
-                holding.insert(crate::data::DataItemId((start + k) % m));
-            }
+            insert_circular(holding, start, span);
         }
         // Orphan fix-up: any item no region reached is handed to a random
         // device so the universe invariant (every item owned) holds.
@@ -434,6 +432,18 @@ impl DivisibleScenario {
             d.union_with(&t.items);
         }
         d
+    }
+}
+
+/// Adds the circular region `start, start+1, …, start+span−1 (mod m)` to
+/// `holding` as at most two word-filled ranges (the second when the
+/// region wraps past item `m − 1`).
+fn insert_circular(holding: &mut ItemSet, start: usize, span: usize) {
+    let m = holding.capacity();
+    let end = start + span;
+    holding.insert_range(start..end.min(m));
+    if end > m {
+        holding.insert_range(0..end - m);
     }
 }
 
@@ -588,6 +598,49 @@ mod tests {
         let mut cfg = DivisibleScenarioConfig::paper_defaults(1);
         cfg.num_items = 0;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn circular_region_fill_matches_per_item_inserts() {
+        detrand::prop::run_cases(
+            "circular_region_fill_matches_per_item_inserts",
+            512,
+            |rng| {
+                let m = match rng.gen_range(0..3usize) {
+                    0 => 64 * rng.gen_range(1..5usize),
+                    1 => rng.gen_range(1..300usize),
+                    _ => 64 * rng.gen_range(1..5usize) + rng.gen_range(1..64usize),
+                };
+                // Starts and region ends on word boundaries, full-universe
+                // spans and wrapping regions each get a share of the cases.
+                let start = if rng.gen_bool(0.3) {
+                    64 * rng.gen_range(0..=(m - 1) / 64)
+                } else {
+                    rng.gen_range(0..m)
+                };
+                let span = match rng.gen_range(0..4usize) {
+                    0 => m,
+                    1 => {
+                        // The region ends just before a word boundary (or at
+                        // item m − 1), wrapping when that end precedes start.
+                        let end = (64 * rng.gen_range(1..=m.div_ceil(64))).min(m);
+                        match (end + m - start) % m {
+                            0 => m,
+                            span => span,
+                        }
+                    }
+                    _ => rng.gen_range(1..=m),
+                };
+                let mut filled = ItemSet::new(m);
+                insert_circular(&mut filled, start, span);
+                let mut expected = ItemSet::new(m);
+                for k in 0..span {
+                    expected.insert(crate::data::DataItemId((start + k) % m));
+                }
+                detrand::prop_assert_eq!(filled, expected, "m {m}, start {start}, span {span}");
+                Ok(())
+            },
+        );
     }
 }
 
