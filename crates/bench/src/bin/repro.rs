@@ -3,80 +3,29 @@
 //! Usage:
 //!   repro                 run every experiment (full sweeps)
 //!   repro fig2a fig3      run selected experiments
-//!   repro --quick         CI-sized sweeps (implies --perf)
+//!   repro --quick         CI-sized sweeps
 //!   repro --out DIR       CSV output directory (default target/experiments)
 //!   repro --threads N     worker threads (0 = auto; also DSMEC_THREADS)
-//!   repro --perf          time a serial pass vs a parallel pass and write
-//!                         the speedup report
-//!   repro --bench-out P   speedup report path (default BENCH_parallel.json)
 //!   repro --trace P       write an mec-obs trace (aggregates + flight-
 //!                         recorder span events, schema v2 in DESIGN.md §7,
 //!                         analyzable with `dsmec trace`); DSMEC_TRACE=P is
 //!                         the environment equivalent, DSMEC_TRACE_EVENTS=0
 //!                         records aggregates only
 //!
-//! With `--perf` (or `--quick`) every selected experiment runs twice from a
-//! cold cache — once on one thread, once on the configured thread count —
-//! and the wall times, speedups and a bit-identity check of the two outputs
-//! land in `BENCH_parallel.json`. Series whose name contains `"time ms"`
-//! are wall-clock measurements and are exempt from the identity check.
+//! Every selected experiment runs once, from a cold cache. Outputs are
+//! bit-identical at any thread count (`tests/determinism.rs`); timings
+//! live in the benchmark package (`crates/bench/examples/benchmark`).
 
-use djson::{Json, ToJson};
+use mec_bench::cli;
 use mec_bench::figures::{registry, ExperimentOptions, Runner};
 use mec_bench::table::Figure;
-use mec_bench::{cache, cli, par};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-/// A JSON object literal from `(key, value)` pairs.
-fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-/// Distills the revised simplex's warm-start counters from the timed
-/// pass's trace into the speedup report: how often sweeps offered a
-/// previous basis, how often the solver accepted it, and what a warm
-/// solve costs next to a cold one.
-fn warm_start_summary(trace: &mec_obs::TraceSnapshot) -> Json {
-    let counter = |name: &str| trace.counter(name).unwrap_or(0);
-    let attempts = counter("lp_hta/relaxation/warm_attempts");
-    let hits = counter("lp_hta/relaxation/warm_hits");
-    let warm_solves = counter("linprog/revised/warm/solves");
-    let cold_solves = counter("linprog/revised/cold/solves");
-    let mean = |ns: u64, n: u64| if n > 0 { ns as f64 / n as f64 } else { 0.0 };
-    obj(vec![
-        ("attempts", Json::from(attempts)),
-        ("hits", Json::from(hits)),
-        (
-            "hit_rate",
-            Json::from(if attempts > 0 {
-                hits as f64 / attempts as f64
-            } else {
-                0.0
-            }),
-        ),
-        (
-            "warm_solve_mean_ns",
-            Json::from(mean(counter("linprog/revised/warm/solve_ns"), warm_solves)),
-        ),
-        (
-            "cold_solve_mean_ns",
-            Json::from(mean(counter("linprog/revised/cold/solve_ns"), cold_solves)),
-        ),
-    ])
-}
-
-/// Outcome of one timed pass over the selected experiments.
+/// Outcome of one pass over the selected experiments.
 struct Pass {
-    /// `(id, figure)` for every experiment that succeeded.
-    figures: Vec<(&'static str, Figure)>,
-    /// `(id, wall-time ms)` for every experiment that succeeded.
-    times_ms: Vec<(&'static str, f64)>,
+    /// `(id, figure, wall-time ms)` for every experiment that succeeded.
+    figures: Vec<(&'static str, Figure, f64)>,
     /// Experiments that failed, with rendered errors.
     failures: Vec<(&'static str, String)>,
 }
@@ -88,37 +37,19 @@ fn run_pass(runners: &[(&'static str, Runner)], opts: &ExperimentOptions) -> Pas
     let _pass_span = mec_obs::span("sweep");
     let mut pass = Pass {
         figures: Vec::new(),
-        times_ms: Vec::new(),
         failures: Vec::new(),
     };
     for &(id, run) in runners {
         let _exp_span = mec_obs::span(mec_bench::figures::experiment_span(id));
         let start = std::time::Instant::now();
         match run(opts) {
-            Ok(fig) => {
-                pass.times_ms
-                    .push((id, start.elapsed().as_secs_f64() * 1e3));
-                pass.figures.push((id, fig));
-            }
+            Ok(fig) => pass
+                .figures
+                .push((id, fig, start.elapsed().as_secs_f64() * 1e3)),
             Err(e) => pass.failures.push((id, e.to_string())),
         }
     }
     pass
-}
-
-/// Bitwise equality of two figures, ignoring wall-clock series.
-fn figures_identical(a: &Figure, b: &Figure) -> bool {
-    a.x_ticks == b.x_ticks
-        && a.series.len() == b.series.len()
-        && a.series.iter().zip(&b.series).all(|(x, y)| {
-            x.name == y.name
-                && (x.name.contains("time ms")
-                    || (x.values.len() == y.values.len()
-                        && x.values
-                            .iter()
-                            .zip(&y.values)
-                            .all(|(u, v)| u.to_bits() == v.to_bits())))
-        })
 }
 
 /// The `--chaos SEED` pass: LP-HTA on the paper-default scenario, then
@@ -144,8 +75,6 @@ fn run_chaos(seed: u64, out_dir: &std::path::Path) -> Result<String, String> {
 fn main() -> ExitCode {
     let mut opts = ExperimentOptions::default();
     let mut out_dir = PathBuf::from("target/experiments");
-    let mut bench_out = PathBuf::from("BENCH_parallel.json");
-    let mut perf = false;
     let mut trace_flag: Option<String> = None;
     let mut chaos_flag: Option<String> = None;
     let mut selected: Vec<String> = Vec::new();
@@ -153,22 +82,11 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--quick" => {
-                opts = ExperimentOptions::quick();
-                perf = true;
-            }
-            "--perf" => perf = true,
+            "--quick" => opts = ExperimentOptions::quick(),
             "--out" => match args.next() {
                 Some(dir) => out_dir = PathBuf::from(dir),
                 None => {
                     eprintln!("--out requires a directory");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--bench-out" => match args.next() {
-                Some(path) => bench_out = PathBuf::from(path),
-                None => {
-                    eprintln!("--bench-out requires a path");
                     return ExitCode::FAILURE;
                 }
             },
@@ -199,8 +117,8 @@ fn main() -> ExitCode {
             },
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: repro [--quick] [--perf] [--threads N] [--out DIR] \
-                     [--bench-out PATH] [--trace PATH] [--chaos SEED] [EXPERIMENT...]"
+                    "usage: repro [--quick] [--threads N] [--out DIR] [--trace PATH] \
+                     [--chaos SEED] [EXPERIMENT...]"
                 );
                 eprintln!("with --chaos SEED, a paper-default scenario is additionally run");
                 eprintln!("under a seeded fault plan with repair; the full plan and event");
@@ -241,52 +159,22 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    // Tracing: an explicit --trace/DSMEC_TRACE path, and --perf on its own
-    // so the span summary can land in BENCH_parallel.json.
     let trace_path = cli::init_trace(trace_flag.as_deref());
-    if perf {
-        mec_obs::set_enabled(true);
-    }
+    let pass = run_pass(&runners, &opts);
 
-    let threads = par::threads();
-    // Optional reference pass on one thread, cold cache, for the speedup
-    // report and the serial-vs-parallel identity check.
-    let serial = if perf {
-        par::set_threads(1);
-        cache::clear();
-        let pass = run_pass(&runners, &opts);
-        par::set_threads(threads);
-        Some(pass)
-    } else {
-        None
-    };
-
-    // The trace mirrors the cache counters' scope: the timed (parallel)
-    // pass only, not the serial reference.
-    mec_obs::reset();
-    cache::clear();
-    let parallel = run_pass(&runners, &opts);
-    let cache_stats = cache::stats();
-    let trace = mec_obs::snapshot();
-
-    for (id, fig) in &parallel.figures {
+    for (id, fig, ms) in &pass.figures {
         println!("{}", fig.render_table());
-        let t = parallel
-            .times_ms
-            .iter()
-            .find(|(i, _)| i == id)
-            .map_or(0.0, |(_, ms)| *ms);
         if let Err(e) = fig.write_csv(&out_dir) {
             eprintln!("warning: could not write {id}.csv: {e}");
         } else {
             println!(
                 "   -> {}  ({:.1}s)\n",
                 out_dir.join(format!("{id}.csv")).display(),
-                t / 1e3
+                ms / 1e3
             );
         }
     }
-    for (id, e) in &parallel.failures {
+    for (id, e) in &pass.failures {
         eprintln!("{id} FAILED: {e}");
     }
 
@@ -303,7 +191,8 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &trace_path {
-        match cli::write_trace(path) {
+        let trace = mec_obs::snapshot();
+        match cli::write_json(path, &trace) {
             Ok(()) => println!(
                 "trace: {} spans, {} counters -> {path}",
                 trace.spans.len(),
@@ -316,102 +205,7 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(serial) = &serial {
-        let mut per_figure = Vec::new();
-        let mut serial_total = 0.0;
-        let mut parallel_total = 0.0;
-        let mut all_identical = true;
-        for (id, par_ms) in &parallel.times_ms {
-            let Some((_, ser_ms)) = serial.times_ms.iter().find(|(i, _)| i == id) else {
-                continue;
-            };
-            let figs = (
-                serial.figures.iter().find(|(i, _)| i == id),
-                parallel.figures.iter().find(|(i, _)| i == id),
-            );
-            let identical = match figs {
-                (Some((_, a)), Some((_, b))) => figures_identical(a, b),
-                _ => false,
-            };
-            all_identical &= identical;
-            serial_total += ser_ms;
-            parallel_total += par_ms;
-            let mut fields = vec![
-                ("id", Json::from(*id)),
-                ("serial_ms", Json::from(*ser_ms)),
-                ("parallel_ms", Json::from(*par_ms)),
-                ("speedup", Json::from(ser_ms / par_ms.max(1e-9))),
-                ("identical", Json::from(identical)),
-            ];
-            // Figures with wall-clock series (name containing "time ms",
-            // e.g. the LP backend ablation) get distribution statistics
-            // over those measurements; nearest-rank percentiles are
-            // NaN-free even for a single sample.
-            if let (_, Some((_, fig))) = figs {
-                let samples: Vec<f64> = fig
-                    .series
-                    .iter()
-                    .filter(|s| s.name.contains("time ms"))
-                    .flat_map(|s| s.values.iter().copied())
-                    .collect();
-                if !samples.is_empty() {
-                    fields.push((
-                        "time_ms_p50",
-                        Json::from(mec_bench::timing::percentile(&samples, 50.0)),
-                    ));
-                    fields.push((
-                        "time_ms_p95",
-                        Json::from(mec_bench::timing::percentile(&samples, 95.0)),
-                    ));
-                }
-            }
-            per_figure.push(obj(fields));
-        }
-        let per_figure_times: Vec<f64> = parallel.times_ms.iter().map(|&(_, ms)| ms).collect();
-        let report = obj(vec![
-            ("threads", Json::from(threads as u64)),
-            ("figures", Json::Arr(per_figure)),
-            (
-                "total",
-                obj(vec![
-                    ("serial_ms", Json::from(serial_total)),
-                    ("parallel_ms", Json::from(parallel_total)),
-                    (
-                        "speedup",
-                        Json::from(serial_total / parallel_total.max(1e-9)),
-                    ),
-                    (
-                        "per_figure_p50_ms",
-                        Json::from(mec_bench::timing::percentile(&per_figure_times, 50.0)),
-                    ),
-                    (
-                        "per_figure_p95_ms",
-                        Json::from(mec_bench::timing::percentile(&per_figure_times, 95.0)),
-                    ),
-                ]),
-            ),
-            ("identical", Json::from(all_identical)),
-            ("warm_start", warm_start_summary(&trace)),
-            ("cache", cache_stats.to_json()),
-            ("trace", trace.to_json()),
-        ]);
-        let json = djson::to_string_pretty(&report);
-        if let Err(e) = std::fs::write(&bench_out, json + "\n") {
-            eprintln!("warning: could not write {}: {e}", bench_out.display());
-        } else {
-            println!(
-                "perf: {threads} threads, {:.1}x speedup, outputs identical: {all_identical} -> {}",
-                serial_total / parallel_total.max(1e-9),
-                bench_out.display()
-            );
-        }
-        if !all_identical {
-            eprintln!("ERROR: parallel output differs from the serial reference");
-            return ExitCode::FAILURE;
-        }
-    }
-
-    if parallel.failures.is_empty() {
+    if pass.failures.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

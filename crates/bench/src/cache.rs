@@ -18,8 +18,8 @@
 //!
 //! Everything here is read-shared behind `Arc`, bounded (maps reset past
 //! [`MAX_ENTRIES`]), and resettable via [`clear`] so wall-time comparisons
-//! can run cold; [`stats`] exposes hit/miss counters for
-//! `BENCH_parallel.json`.
+//! can run cold; [`stats`] exposes hit/miss counters (the benchmark
+//! package's `repro_quick` workload reports them).
 
 use dsmec_core::costs::CostTable;
 use dsmec_core::error::AssignError;

@@ -1,9 +1,9 @@
 //! Plain wall-clock timing for the `harness = false` bench targets.
 //!
-//! Replaces the criterion dependency with the same `Instant`-based
-//! measurement the `repro --perf` speedup report uses: one warm-up call,
-//! then timed iterations until a per-case budget is spent, reporting the
-//! mean, minimum, median (p50) and tail (p95) per iteration.
+//! Replaces the criterion dependency with an `Instant`-based measurement:
+//! one warm-up call, then timed iterations until a per-case budget is
+//! spent, reporting the mean, minimum, median (p50) and tail (p95) per
+//! iteration.
 //!
 //! A positional argument filters cases by substring — the CLI shape
 //! `cargo bench -- <filter>` already had under criterion — and flags

@@ -201,9 +201,11 @@ pub struct LpHta {
     /// Instances under capacity or deadline pressure still take the full
     /// six-step LP path. Disable to force Step 1 on every instance.
     pub fast_path: bool,
-    /// Scalability guard: clusters with more tasks than this skip the
-    /// dense LP (whose normal equations grow cubically) and seed Steps
-    /// 3–6 with the greedy cheapest-feasible indicator instead. The
+    /// Scalability guard: clusters with more tasks than this skip the LP
+    /// and seed Steps 3–6 with the greedy cheapest-feasible indicator
+    /// instead. A large cluster LP costs a dense m × m `LuFactors`
+    /// refactor plus a crash-basis cold start of 2n + 2 iterations (see
+    /// the sparse-basis item in ROADMAP.md). The
     /// repair steps still enforce every constraint; only the fractional
     /// seed differs. The paper's own experiments (≤ 450 tasks over 5
     /// clusters) never reach this limit.

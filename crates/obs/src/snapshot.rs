@@ -186,8 +186,7 @@ impl SpanEvent {
 }
 
 /// One merged, name-sorted export of everything recorded since the last
-/// reset. This is the JSON written by `repro --trace` / `dsmec --trace`
-/// and embedded by `repro --perf` in `BENCH_parallel.json`.
+/// reset. This is the JSON written by `repro --trace` / `dsmec --trace`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceSnapshot {
     /// Schema version ([`SCHEMA_VERSION`]) of the *writer*. Readers

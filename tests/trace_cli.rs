@@ -7,11 +7,14 @@ use mec_obs::{TraceSnapshot, SCHEMA_VERSION};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// Runs `repro --quick fig2a fig6b --trace` into a per-test temp dir and
-/// returns the trace path. fig2a exercises the LP-HTA pipeline (relaxation
-/// → rounding → repair plus the LP kernels); fig6b the DTA greedy division.
+/// Runs `repro --quick fig2a fig6b --trace` inside a fresh per-test temp
+/// dir and returns the trace path. fig2a exercises the LP-HTA pipeline
+/// (relaxation → rounding → repair plus the LP kernels); fig6b the DTA
+/// greedy division. Every run also checks that `repro` runs each selected
+/// experiment exactly once and leaves no report in its working directory.
 fn record_quick_trace(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dsmec_trace_cli_{tag}"));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let trace_path = dir.join("trace.json");
     let output = Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -23,9 +26,8 @@ fn record_quick_trace(tag: &str) -> PathBuf {
             trace_path.to_str().expect("utf-8 path"),
             "--out",
             dir.join("csv").to_str().expect("utf-8 path"),
-            "--bench-out",
-            dir.join("bench.json").to_str().expect("utf-8 path"),
         ])
+        .current_dir(&dir)
         .env_remove("DSMEC_TRACE")
         .env_remove("DSMEC_TRACE_EVENTS")
         .output()
@@ -35,6 +37,24 @@ fn record_quick_trace(tag: &str) -> PathBuf {
         "repro failed:\n{}",
         String::from_utf8_lossy(&output.stderr)
     );
+    // Only the requested outputs: no report lands in the working dir.
+    let mut written: Vec<String> = std::fs::read_dir(&dir)
+        .expect("list temp dir")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    written.sort();
+    assert_eq!(written, ["csv", "trace.json"], "repro wrote stray files");
+    let trace = read_trace(&trace_path);
+    for id in ["fig2a", "fig6b"] {
+        let name = format!("experiment/{id}");
+        let span = trace.spans.iter().find(|s| s.name == name);
+        assert_eq!(span.map(|s| s.count), Some(1), "{name} runs exactly once");
+    }
     trace_path
 }
 
