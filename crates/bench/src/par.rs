@@ -46,6 +46,14 @@ fn lock_failure<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Parallel regions that spawned workers, counted on the calling
+    /// thread: tests observe the spawn decision itself, not which thread
+    /// happened to claim each item.
+    static SPAWNS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// 0 = "not explicitly configured": fall back to the environment / CPU.
 static THREADS: AtomicUsize = AtomicUsize::new(0);
 
@@ -183,6 +191,8 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
     if projected < SPAWN_FLOOR_NS {
         work();
     } else {
+        #[cfg(test)]
+        SPAWNS.with(|n| n.set(n.get() + 1));
         std::thread::scope(|scope| {
             // The borrow is load-bearing: the same closure runs on N threads.
             #[allow(clippy::needless_borrows_for_generic_args)]
@@ -275,6 +285,8 @@ where
         if projected < SPAWN_FLOOR_NS {
             work();
         } else {
+            #[cfg(test)]
+            SPAWNS.with(|n| n.set(n.get() + 1));
             std::thread::scope(|scope| {
                 // The borrow is load-bearing: the same closure runs on N threads.
                 #[allow(clippy::needless_borrows_for_generic_args)]
@@ -441,29 +453,37 @@ mod tests {
 
     /// A cheap first item must not keep a heterogeneous batch serial: the
     /// probe takes the max over min(2, len) items, so a batch whose tail
-    /// is expensive clears the spawn floor and runs off the calling
-    /// thread. (A single-item probe projected the whole batch from the
-    /// cheap head and stayed serial.)
+    /// is expensive clears the spawn floor and spawns workers. (A
+    /// single-item probe projected the whole batch from the cheap head
+    /// and stayed serial.) The spawn is observed directly: on a loaded
+    /// host the calling thread may drain every item before a spawned
+    /// worker gets to claim one.
     #[test]
     fn heterogeneous_batches_spawn_despite_a_cheap_first_item() {
         let _t = THREADS_TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         set_threads(4);
-        let main_id = std::thread::current().id();
+        let spawns = || SPAWNS.with(std::cell::Cell::get);
         let items: Vec<usize> = (0..16).collect();
         let heavy_tail = |&i: &usize| {
             if i > 0 {
                 busy_wait(300);
             }
-            std::thread::current().id()
+            i
         };
-        let ids = par_map(&items, heavy_tail);
-        let ids_r: Result<Vec<_>, AssignError> = par_map_result(&items, |i| Ok(heavy_tail(i)));
+        let before = spawns();
+        let out = par_map(&items, heavy_tail);
+        let after_map = spawns();
+        let out_r: Result<Vec<_>, AssignError> = par_map_result(&items, |i| Ok(heavy_tail(i)));
+        let after_result = spawns();
         set_threads(0);
-        assert!(
-            ids.iter().any(|id| *id != main_id),
+        assert_eq!(out, items);
+        assert_eq!(out_r.unwrap(), items);
+        assert_eq!(
+            after_map,
+            before + 1,
             "expensive tail behind a cheap probe item must spawn workers"
         );
-        assert!(ids_r.unwrap().iter().any(|id| *id != main_id));
+        assert_eq!(after_result, after_map + 1);
     }
 
     #[test]

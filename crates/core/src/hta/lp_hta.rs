@@ -101,7 +101,10 @@ pub struct FractionalSolution {
 /// Cluster relaxations of nearby instances (adjacent sweep points, next
 /// mobility epoch) differ only in their data, so the previous point's
 /// optimal basis is usually still feasible and the solver can skip
-/// phase 1 entirely. Feed one `WarmBases` through a chain of
+/// phase 1 entirely. When it is not — churn changed the cluster's shape,
+/// or the old vertex is infeasible for the new data — the solve falls
+/// back to the cluster's greedy basis before going cold (see
+/// [`LpHta::solve_cluster`]). Feed one `WarmBases` through a chain of
 /// [`LpHta::assign_with_report_warm`] calls; it records hit statistics
 /// as it goes.
 #[derive(Debug, Clone, Default)]
@@ -109,7 +112,8 @@ pub struct WarmBases {
     bases: HashMap<StationId, Basis>,
     /// Solves for which a stored basis existed and was offered.
     pub attempts: u64,
-    /// Offered bases the solver accepted (phase 1 skipped).
+    /// Of those, the solves that started warm (phase 1 skipped), from
+    /// the stored basis or from the greedy fallback.
     pub hits: u64,
 }
 
@@ -144,14 +148,14 @@ impl WarmBases {
         self.bases.insert(station, basis);
     }
 
-    /// Drops `station`'s stored basis — e.g. after churn changed the
-    /// cluster's problem shape and the solver rejected the stale basis.
+    /// Drops `station`'s stored basis — e.g. after a solve that ended
+    /// without a real-column basis to chain.
     pub fn clear(&mut self, station: StationId) {
         self.bases.remove(&station);
     }
 
-    /// Fraction of offered bases the solver accepted (0 when none were
-    /// offered yet).
+    /// Fraction of offered bases after which the solve started warm (0
+    /// when none were offered yet).
     #[must_use]
     pub fn hit_rate(&self) -> f64 {
         if self.attempts == 0 {
@@ -176,10 +180,13 @@ pub struct ClusterSolve {
     /// non-revised backends, or solves that ended without a real-column
     /// basis).
     pub basis: Option<Basis>,
-    /// True when the supplied warm basis was accepted (phase 1 skipped).
+    /// True when the solve started warm (phase 1 skipped): from the
+    /// supplied chained basis or, when that was declined, from the
+    /// cluster's greedy basis. Always false without a chained basis.
     pub warm_used: bool,
-    /// True when the supplied warm basis was structurally rejected
-    /// (problem shape changed under the chain — a churn event).
+    /// True when the supplied chained basis was structurally rejected
+    /// (problem shape changed under the chain — a churn event), whether
+    /// or not the greedy basis then started the solve warm.
     pub warm_rejected: bool,
     /// This cluster's contribution to `E_LP^(OPT)`.
     pub objective: f64,
@@ -488,6 +495,12 @@ impl LpHta {
     /// `lp_cluster_limit`. Returns `None` for clusters with no tasks or no
     /// solvable relaxation.
     ///
+    /// With a chained basis `prev`, the solver is offered two warm
+    /// candidates in order: `prev`, then the relaxation's
+    /// [`greedy_basis`](crate::hta::relaxation::ClusterRelaxation::greedy_basis),
+    /// which keeps churned clusters (whose `prev` no longer fits) warm.
+    /// Without `prev` the solve is cold, exactly as a batch solve.
+    ///
     /// Pure with respect to chain state: the caller owns basis storage
     /// (see [`WarmBases`]), which is what lets the serve loop run one
     /// `solve_cluster` per shard under the deterministic `par_map`
@@ -553,11 +566,20 @@ impl LpHta {
         let Some(rel) = build_cluster_relaxation(system, tasks, costs, station, idxs)? else {
             return Ok(None);
         };
-        // Step 1: solve the relaxation (revised simplex, dense fallback);
-        // a cold solve is `solve_from(_, None)`.
-        let outcome = linprog::solve_from(&rel.lp, prev)?;
+        // Step 1: solve the relaxation (revised simplex, dense fallback).
+        // A chained solve offers the chain first and the cluster's own
+        // greedy basis second, so a chain that no longer fits (churn)
+        // still starts warm; a solve with no chain runs cold.
+        let outcome = match prev {
+            Some(prev) => linprog::solve_from(&rel.lp, &[prev, &rel.greedy_basis()])?,
+            None => linprog::solve_from(&rel.lp, &[])?,
+        };
+        if outcome.adopted == Some(1) {
+            mec_obs::counter_add("lp_hta/relaxation/greedy_starts", 1);
+        }
         let warm_rejected = outcome.warm_rejection.is_some();
-        let (sol, basis, warm_used) = (outcome.solution, outcome.basis, outcome.warm_used);
+        let warm_used = outcome.adopted.is_some();
+        let (sol, basis) = (outcome.solution, outcome.basis);
         let iterations = sol.iterations;
         // Step 2: the fractional matrix X. If the LP could not be
         // solved to optimality (pathological custom instances), fall

@@ -10,7 +10,7 @@
 
 use crate::costs::CostTable;
 use crate::error::AssignError;
-use linprog::{ConstraintSense, LpProblem};
+use linprog::{Basis, BasisVarStatus, ConstraintSense, LpProblem};
 use mec_sim::task::{ExecutionSite, HolisticTask};
 use mec_sim::topology::{DeviceId, MecSystem, StationId};
 
@@ -50,6 +50,58 @@ impl ClusterRelaxation {
     /// when the solver produced no duals.
     pub fn station_capacity_price(&self, duals: Option<&[f64]>) -> Option<f64> {
         duals.map(|d| d[self.station_row])
+    }
+
+    /// A warm-start candidate built from this cluster alone: each task,
+    /// in cluster order, at its cheapest site that is fully open (LP
+    /// upper bound 1) and still has room on its C2 or C3 row for the
+    /// task's `resource` (the cloud has no capacity row), with every
+    /// capacity slack basic.
+    ///
+    /// The standard-form columns are `x` at `3k + site`, then one slack
+    /// per `≤` row in row order — the C2 device rows ascending, then C3;
+    /// the C4 equalities have none. When every task finds a site, the
+    /// basis matrix is triangular (each chosen `x` is the only basic
+    /// column in its C4 row, each slack the only basic unit column in its
+    /// capacity row), so it is nonsingular, and the point it defines is
+    /// the greedy assignment itself: every `x` is 0 or 1 within its
+    /// bounds and every slack is the room left on its row, never
+    /// negative. A task with no passing site leaves its C4 row without a
+    /// basic column; the solver declines that basis (wrong basic count)
+    /// and solves cold.
+    #[must_use]
+    pub fn greedy_basis(&self) -> Basis {
+        let rows = self.lp.constraints();
+        let energy = self.lp.objective();
+        let bounds = self.lp.bounds();
+        let tasks = self.task_indices.len();
+        // The capacity row and coefficient of every capacitated column.
+        let mut capacity: Vec<Option<(usize, f64)>> = vec![None; 3 * tasks];
+        let capacity_rows = self.device_rows.iter().map(|&(_, row)| row);
+        for row in capacity_rows.chain([self.station_row]) {
+            for &(j, resource) in &rows[row].terms {
+                capacity[j] = Some((row, resource));
+            }
+        }
+        let mut room: Vec<f64> = rows.iter().map(|row| row.rhs).collect();
+        let slacks = self.device_rows.len() + 1;
+        let mut statuses = vec![BasisVarStatus::AtLower; 3 * tasks + slacks];
+        for k in 0..tasks {
+            let mut sites = ExecutionSite::ALL.map(|site| 3 * k + site.index());
+            // Stable: equal energies keep the site order.
+            sites.sort_by(|&a, &b| energy[a].total_cmp(&energy[b]));
+            let fits = |j: usize| {
+                bounds[j].upper >= 1.0 && capacity[j].is_none_or(|(row, need)| room[row] >= need)
+            };
+            if let Some(j) = sites.into_iter().find(|&j| fits(j)) {
+                if let Some((row, need)) = capacity[j] {
+                    room[row] -= need;
+                }
+                statuses[j] = BasisVarStatus::Basic;
+            }
+        }
+        statuses[3 * tasks..].fill(BasisVarStatus::Basic);
+        Basis::from_statuses(rows.len(), statuses)
     }
 }
 
@@ -357,6 +409,116 @@ mod tests {
         let costs2 = CostTable::build(&s2.system, &s2.tasks).unwrap();
         let slack = station_capacity_prices(&s2.system, &s2.tasks, &costs2).unwrap();
         assert!(slack.iter().all(|(_, p)| p.abs() < 1e-9), "{slack:?}");
+    }
+
+    /// The greedy basis is adopted exactly when every task found a site,
+    /// and a warm solve from it reaches the dense oracle's optimum; when
+    /// some task found none, the declined basis leaves a cold solve that
+    /// still reaches it. Clusters are drawn with tight capacities and
+    /// with deadlines cut below every site's latency.
+    #[test]
+    fn greedy_basis_is_adopted_whenever_every_task_fits() {
+        let (mut adopted, mut declined, mut infeasible) = (0, 0, 0);
+        detrand::prop::run_cases(
+            "greedy_basis_is_adopted_whenever_every_task_fits",
+            300,
+            |rng| {
+                let mut cfg = ScenarioConfig::paper_defaults(rng.gen_range(0..u64::MAX));
+                cfg.num_stations = rng.gen_range(1..=3);
+                cfg.devices_per_station = rng.gen_range(1..=6);
+                cfg.tasks_total = rng.gen_range(1..=24);
+                cfg.device_resource_mb = rng.gen_range(0.5..8.0);
+                cfg.station_resource_mb = rng.gen_range(1.0..60.0);
+                let mut s = cfg.generate().map_err(|e| e.to_string())?;
+                let cut = rng.gen_range(0.0..0.4);
+                for t in &mut s.tasks {
+                    if rng.gen_bool(cut) {
+                        t.deadline = t.deadline * rng.gen_range(0.05..1.0);
+                    }
+                }
+                let costs = CostTable::build(&s.system, &s.tasks).map_err(|e| e.to_string())?;
+                for (st, idxs) in
+                    cluster_task_indices(&s.system, &s.tasks).map_err(|e| e.to_string())?
+                {
+                    let Some(rel) =
+                        build_cluster_relaxation(&s.system, &s.tasks, &costs, st, &idxs)
+                            .map_err(|e| e.to_string())?
+                    else {
+                        continue;
+                    };
+                    // The greedy walk, replayed over the tasks themselves.
+                    let mut device_room: std::collections::BTreeMap<DeviceId, f64> =
+                        std::collections::BTreeMap::new();
+                    let mut station_room = s.system.station(st).unwrap().max_resource.value();
+                    let mut every_task_fits = true;
+                    for (k, &i) in idxs.iter().enumerate() {
+                        let task = &s.tasks[i];
+                        let need = task.resource.value();
+                        let mut sites = ExecutionSite::ALL;
+                        sites.sort_by(|a, b| {
+                            costs
+                                .at(i, *a)
+                                .energy
+                                .value()
+                                .total_cmp(&costs.at(i, *b).energy.value())
+                        });
+                        let room = device_room.entry(task.owner).or_insert_with(|| {
+                            s.system.device(task.owner).unwrap().max_resource.value()
+                        });
+                        let pick = sites.into_iter().find(|&site| {
+                            rel.lp.bounds()[rel.var(k, site)].upper >= 1.0
+                                && match site {
+                                    ExecutionSite::Device => *room >= need,
+                                    ExecutionSite::Station => station_room >= need,
+                                    ExecutionSite::Cloud => true,
+                                }
+                        });
+                        match pick {
+                            Some(ExecutionSite::Device) => *room -= need,
+                            Some(ExecutionSite::Station) => station_room -= need,
+                            Some(ExecutionSite::Cloud) => {}
+                            None => every_task_fits = false,
+                        }
+                    }
+
+                    let greedy = rel.greedy_basis();
+                    let out = linprog::revised::solve_revised_from(&rel.lp, &[&greedy])
+                        .map_err(|e| e.to_string())?;
+                    let oracle = solve_simplex(&rel.lp).map_err(|e| e.to_string())?;
+                    detrand::prop_assert_eq!(out.solution.status, oracle.status);
+                    if oracle.status != LpStatus::Optimal {
+                        // Cut deadlines can leave fractional bounds that no
+                        // capacity admits; a fitting greedy point is feasible.
+                        detrand::prop_assert!(!every_task_fits);
+                        detrand::prop_assert_eq!(out.adopted, None);
+                        infeasible += 1;
+                        continue;
+                    }
+                    let gap = (out.solution.objective - oracle.objective).abs();
+                    detrand::prop_assert!(
+                        gap <= 1e-9 * (1.0 + oracle.objective.abs()),
+                        "station {st}: greedy-started {} vs oracle {} (adopted {:?})",
+                        out.solution.objective,
+                        oracle.objective,
+                        out.adopted
+                    );
+                    if every_task_fits {
+                        detrand::prop_assert_eq!(out.adopted, Some(0));
+                        adopted += 1;
+                    } else {
+                        detrand::prop_assert_eq!(out.adopted, None);
+                        declined += 1;
+                    }
+                }
+                Ok(())
+            },
+        );
+        assert!(
+            adopted >= 100,
+            "only {adopted} clusters adopted the greedy basis"
+        );
+        assert!(declined >= 10, "only {declined} clusters declined it");
+        assert!(infeasible >= 1, "no infeasible cluster was drawn");
     }
 
     #[test]

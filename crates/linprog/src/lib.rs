@@ -73,22 +73,23 @@ pub use revised::{Basis, BasisVarStatus, SolveOutcome};
 /// Returns [`LpError::NumericalFailure`] only when both the revised and
 /// the dense backend fail.
 pub fn solve(lp: &LpProblem) -> Result<LpSolution, LpError> {
-    solve_from(lp, None).map(|outcome| outcome.solution)
+    solve_from(lp, &[]).map(|outcome| outcome.solution)
 }
 
-/// Solves `lp` with the sparse revised simplex, optionally warm-starting
-/// from a [`Basis`] returned by a previous call, and returns the final
-/// basis alongside the solution so sweeps can chain adjacent points.
+/// Solves `lp` with the sparse revised simplex, warm-starting from the
+/// first of the `warm` candidates it accepts (tried in order; `&[]`
+/// solves cold), and returns the final basis alongside the solution so
+/// sweeps can chain adjacent points.
 ///
 /// Falls back to the dense simplex on numerical failure; the fallback
-/// reports `warm_used: false` and no basis (dense solves don't export
-/// one), so a chain simply goes cold at that point.
+/// reports `adopted: None` and no basis (dense solves don't export one),
+/// so a chain simply goes cold at that point.
 ///
 /// # Errors
 ///
 /// Returns [`LpError::NumericalFailure`] only when both the revised and
 /// the dense backend fail.
-pub fn solve_from(lp: &LpProblem, warm: Option<&Basis>) -> Result<SolveOutcome, LpError> {
+pub fn solve_from(lp: &LpProblem, warm: &[&Basis]) -> Result<SolveOutcome, LpError> {
     match revised::solve_revised_from(lp, warm) {
         Ok(outcome) => Ok(outcome),
         // A singular basis the eta file cannot recover from; the dense
@@ -96,7 +97,7 @@ pub fn solve_from(lp: &LpProblem, warm: Option<&Basis>) -> Result<SolveOutcome, 
         Err(_) => simplex::solve_simplex(lp).map(|solution| SolveOutcome {
             solution,
             basis: None,
-            warm_used: false,
+            adopted: None,
             warm_rejection: None,
         }),
     }
@@ -114,7 +115,7 @@ mod tests {
             .unwrap();
         let backends = [
             solve(&lp).unwrap(),
-            solve_from(&lp, None).unwrap().solution,
+            solve_from(&lp, &[]).unwrap().solution,
             simplex::solve_simplex(&lp).unwrap(),
         ];
         for sol in backends {
@@ -131,12 +132,12 @@ mod tests {
             .unwrap();
         lp.set_bounds(0, 0.0, 3.0).unwrap();
         lp.set_bounds(1, 0.0, 3.0).unwrap();
-        let cold = solve_from(&lp, None).unwrap();
+        let cold = solve_from(&lp, &[]).unwrap();
         assert!(cold.solution.is_optimal());
-        assert!(!cold.warm_used);
+        assert!(cold.adopted.is_none());
         let basis = cold.basis.expect("optimal solve exports a basis");
-        let warm = solve_from(&lp, Some(&basis)).unwrap();
-        assert!(warm.warm_used);
+        let warm = solve_from(&lp, &[&basis]).unwrap();
+        assert!(warm.adopted.is_some());
         assert!((warm.solution.objective - cold.solution.objective).abs() < 1e-9);
     }
 
@@ -150,7 +151,7 @@ mod tests {
             .unwrap();
         assert_eq!(solve(&lp).unwrap().status, LpStatus::Infeasible);
         assert_eq!(
-            solve_from(&lp, None).unwrap().solution.status,
+            solve_from(&lp, &[]).unwrap().solution.status,
             LpStatus::Infeasible
         );
     }

@@ -553,12 +553,12 @@ mod tests {
         for k in 0..structure.blocks.len() {
             let sub = super::extract_block(&lp, &structure, k).unwrap();
             assert_eq!(sub.problem.num_vars(), 2);
-            let cold = crate::solve_from(&sub.problem, None).unwrap();
+            let cold = crate::solve_from(&sub.problem, &[]).unwrap();
             assert!(cold.solution.is_optimal());
             blockwise += cold.solution.objective;
             let basis = cold.basis.expect("optimal revised solve exports a basis");
-            let warm = crate::solve_from(&sub.problem, Some(&basis)).unwrap();
-            assert!(warm.warm_used, "block {k} must chain its own basis");
+            let warm = crate::solve_from(&sub.problem, &[&basis]).unwrap();
+            assert!(warm.adopted.is_some(), "block {k} must chain its own basis");
             assert!((warm.solution.objective - cold.solution.objective).abs() < 1e-9);
         }
         assert!((blockwise - full.objective).abs() < 1e-9);

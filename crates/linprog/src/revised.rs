@@ -10,15 +10,17 @@
 //! sparse `Aᵀy` product, so an iteration costs O(nnz + m²) instead of the
 //! dense method's O(n·m + m²) with a much larger constant.
 //!
-//! On top of the cold solve, [`solve_revised_from`] accepts a [`Basis`]
-//! from a previous solve of a *similar* problem (same shape, nearby data
-//! — e.g. the previous point of a bench sweep). When the warm basis is
-//! still nonsingular and primal feasible, phase 1 is skipped entirely;
-//! otherwise the solver falls back to a cold start. Every solve returns
-//! its final basis so callers can chain.
+//! On top of the cold solve, [`solve_revised_from`] accepts an ordered
+//! list of candidate [`Basis`] snapshots — from a previous solve of a
+//! *similar* problem (same shape, nearby data — e.g. the previous point
+//! of a bench sweep), or built by the caller with
+//! [`Basis::from_statuses`]. It adopts the first candidate that is still
+//! nonsingular and primal feasible and skips phase 1 entirely; when none
+//! is, it falls back to a cold start. Every solve returns its final basis
+//! so callers can chain.
 //!
 //! **Determinism:** given the same problem and the same (or no) warm
-//! basis, the solve is bit-deterministic: every kernel is serial, so the
+//! candidates, the solve is bit-deterministic: every kernel is serial, so the
 //! worker count of the caller's thread pool cannot reach it.
 
 use crate::basis::{BasisFactor, LuFactors};
@@ -46,9 +48,10 @@ pub enum BasisVarStatus {
 
 /// A simplex basis snapshot over the standard-form columns (structural
 /// variables followed by slacks; artificials are never part of a
-/// snapshot). Opaque beyond its dimensions: obtain one from
-/// [`solve_revised_from`] and feed it back to warm-start a similar
-/// problem.
+/// snapshot). Obtain one from [`solve_revised_from`] and feed it back to
+/// warm-start a similar problem, or build one from per-column statuses
+/// with [`Self::from_statuses`]; either way the solver re-checks it
+/// before adoption.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Basis {
     /// Constraint rows of the problem the snapshot came from.
@@ -64,6 +67,22 @@ pub struct Basis {
 }
 
 impl Basis {
+    /// A basis over `num_rows` rows and `statuses.len()` standard-form
+    /// columns (structural variables, then one slack per inequality row
+    /// in row order), with no refactorization debt. Nothing is checked
+    /// here: a candidate with the wrong basic count, an `AtUpper` on an
+    /// infinite bound, a singular basis matrix or an infeasible point is
+    /// declined by the solve that is offered it.
+    #[must_use]
+    pub fn from_statuses(num_rows: usize, statuses: Vec<BasisVarStatus>) -> Basis {
+        Basis {
+            num_rows,
+            num_cols: statuses.len(),
+            statuses,
+            carried_pivots: 0,
+        }
+    }
+
     /// Per-column statuses (length [`Self::num_cols`]).
     #[must_use]
     pub fn statuses(&self) -> &[BasisVarStatus] {
@@ -82,7 +101,7 @@ impl Basis {
 }
 
 /// Result of [`solve_revised_from`]: the solution, the final basis for
-/// chaining, and whether the supplied warm basis was actually used.
+/// chaining, and which warm candidate, if any, the solve started from.
 #[derive(Debug, Clone)]
 pub struct SolveOutcome {
     /// The solve result.
@@ -91,15 +110,18 @@ pub struct SolveOutcome {
     /// when an artificial variable remained basic, e.g. on infeasible
     /// problems).
     pub basis: Option<Basis>,
-    /// True when the warm basis was accepted and phase 1 was skipped.
-    pub warm_used: bool,
-    /// Why a supplied warm basis was structurally rejected, when it was
+    /// Index into the offered candidates of the one the solve adopted
+    /// (phase 1 skipped); `None` when none was offered or every one was
+    /// declined and the solve started from the crash basis.
+    pub adopted: Option<usize>,
+    /// The first structural rejection among the candidates tried
     /// ([`LpError::BasisShapeMismatch`] after a churn event changed the
-    /// problem shape, or after its public dimensions were tampered out of
-    /// sync with the status vector). `None` when no basis was supplied,
-    /// it was accepted, or it was declined for silent numerical or
-    /// feasibility reasons. A rejection is not a failure: the solve
-    /// proceeded from the crash basis.
+    /// problem shape, or after a basis's public dimensions were tampered
+    /// out of sync with its status vector). `None` when no candidate was
+    /// rejected structurally; candidates declined for silent numerical
+    /// or feasibility reasons leave no trace here. A rejection is not a
+    /// failure: the solve went on to the next candidate, or to the crash
+    /// basis.
     pub warm_rejection: Option<LpError>,
 }
 
@@ -110,17 +132,20 @@ pub struct SolveOutcome {
 /// Returns [`LpError::NumericalFailure`] when basis factorization fails
 /// irrecoverably; infeasibility/unboundedness are reported via the status.
 pub fn solve_revised(lp: &LpProblem) -> Result<LpSolution, LpError> {
-    solve_revised_from(lp, None).map(|o| o.solution)
+    solve_revised_from(lp, &[]).map(|o| o.solution)
 }
 
-/// Solves `lp`, optionally warm-starting from a previous [`Basis`].
+/// Solves `lp`, warm-starting from the first of the `warm` candidates
+/// that passes the acceptance checks, tried in order; with no candidate
+/// (`&[]`), or when every one is declined, the solve starts cold from the
+/// crash basis.
 ///
 /// # Errors
 ///
 /// Returns [`LpError::NumericalFailure`] when basis factorization fails
 /// irrecoverably (warm-start rejection is *not* an error — it falls back
-/// to a cold start).
-pub fn solve_revised_from(lp: &LpProblem, warm: Option<&Basis>) -> Result<SolveOutcome, LpError> {
+/// to the next candidate or a cold start).
+pub fn solve_revised_from(lp: &LpProblem, warm: &[&Basis]) -> Result<SolveOutcome, LpError> {
     let _timer = mec_obs::span("linprog/revised/solve");
     let started = std::time::Instant::now();
     if mec_obs::enabled() {
@@ -133,25 +158,27 @@ pub fn solve_revised_from(lp: &LpProblem, warm: Option<&Basis>) -> Result<SolveO
     }
     let sf = SparseStandardForm::from_problem(lp);
     let mut state = RevisedState::new(&sf);
-    let mut warm_used = false;
+    let mut adopted = None;
     let mut warm_rejection = None;
-    if let Some(basis) = warm {
+    for (k, basis) in warm.iter().enumerate() {
         mec_obs::counter_add("linprog/revised/warm/attempts", 1);
         match state.try_warm_start(basis) {
             Ok(true) => {
-                warm_used = true;
+                adopted = Some(k);
                 mec_obs::counter_add("linprog/revised/warm/accepted", 1);
+                break;
             }
             Ok(false) => {}
             Err(e) => {
                 // Structural mismatch (churned problem shape or tampered
-                // dimensions): record why, then solve from the crash
-                // basis like any other cold start.
+                // dimensions): record the first one, then try the next
+                // candidate; after the last comes the crash basis.
                 mec_obs::counter_add("linprog/revised/warm/shape_rejections", 1);
-                warm_rejection = Some(e);
+                warm_rejection.get_or_insert(e);
             }
         }
     }
+    let warm_used = adopted.is_some();
     let sol = state.run(&sf, warm_used)?;
 
     mec_obs::counter_add("linprog/revised/solves", 1);
@@ -191,7 +218,7 @@ pub fn solve_revised_from(lp: &LpProblem, warm: Option<&Basis>) -> Result<SolveO
     Ok(SolveOutcome {
         solution: sol,
         basis,
-        warm_used,
+        adopted,
         warm_rejection,
     })
 }
@@ -910,8 +937,9 @@ mod tests {
         assert_eq!(solve_revised(&lp).unwrap().status, LpStatus::Unbounded);
     }
 
-    #[test]
-    fn transportation_problem_and_duals() {
+    /// Two supply rows (≤) and three demand rows (=): 6 structural
+    /// columns plus 2 slacks. Optimum 150.
+    fn transportation_lp() -> LpProblem {
         let cost = [2.0, 3.0, 1.0, 5.0, 4.0, 8.0];
         let mut lp = LpProblem::new(6);
         lp.set_objective(cost.to_vec()).unwrap();
@@ -933,6 +961,12 @@ mod tests {
             .unwrap();
         lp.add_constraint(vec![(2, 1.0), (5, 1.0)], ConstraintSense::Eq, 15.0)
             .unwrap();
+        lp
+    }
+
+    #[test]
+    fn transportation_problem_and_duals() {
+        let lp = transportation_lp();
         let sol = solve_revised(&lp).unwrap();
         assert_optimal(&sol, 150.0, 1e-7);
         let duals = sol.duals.expect("optimal revised solve reports duals");
@@ -960,14 +994,17 @@ mod tests {
     #[test]
     fn warm_start_from_own_basis_skips_phase_one() {
         let lp = triangle_lp();
-        let cold = solve_revised_from(&lp, None).unwrap();
-        assert!(!cold.warm_used);
+        let cold = solve_revised_from(&lp, &[]).unwrap();
+        assert!(cold.adopted.is_none());
         let basis = cold.basis.expect("optimal solve exports a basis");
         assert_eq!(basis.num_rows, 1);
         assert_eq!(basis.num_cols, 3); // 2 structural + 1 slack
 
-        let warm = solve_revised_from(&lp, Some(&basis)).unwrap();
-        assert!(warm.warm_used, "identical problem must accept the basis");
+        let warm = solve_revised_from(&lp, &[&basis]).unwrap();
+        assert!(
+            warm.adopted.is_some(),
+            "identical problem must accept the basis"
+        );
         assert_optimal(&warm.solution, -7.0, 1e-8);
         // Re-solving from the optimal basis needs only the optimality
         // check, far fewer iterations than the cold two-phase run.
@@ -977,7 +1014,7 @@ mod tests {
     #[test]
     fn warm_start_survives_a_data_perturbation() {
         let lp = triangle_lp();
-        let basis = solve_revised_from(&lp, None).unwrap().basis.unwrap();
+        let basis = solve_revised_from(&lp, &[]).unwrap().basis.unwrap();
 
         // Same shape, slightly different rhs and costs: the old basis
         // stays feasible and the warm solve matches a cold solve.
@@ -988,9 +1025,9 @@ mod tests {
             .unwrap();
         nudged.set_bounds(0, 0.0, 3.0).unwrap();
         nudged.set_bounds(1, 0.0, 3.0).unwrap();
-        let warm = solve_revised_from(&nudged, Some(&basis)).unwrap();
-        let cold = solve_revised_from(&nudged, None).unwrap();
-        assert!(warm.warm_used);
+        let warm = solve_revised_from(&nudged, &[&basis]).unwrap();
+        let cold = solve_revised_from(&nudged, &[]).unwrap();
+        assert!(warm.adopted.is_some());
         assert_eq!(warm.solution.status, LpStatus::Optimal);
         assert!(
             (warm.solution.objective - cold.solution.objective).abs() < 1e-8,
@@ -1002,7 +1039,7 @@ mod tests {
 
     #[test]
     fn warm_start_rejects_mismatched_shapes() {
-        let basis = solve_revised_from(&triangle_lp(), None)
+        let basis = solve_revised_from(&triangle_lp(), &[])
             .unwrap()
             .basis
             .unwrap();
@@ -1015,8 +1052,8 @@ mod tests {
         other
             .add_constraint(vec![(1, 1.0)], ConstraintSense::Le, 1.0)
             .unwrap();
-        let out = solve_revised_from(&other, Some(&basis)).unwrap();
-        assert!(!out.warm_used);
+        let out = solve_revised_from(&other, &[&basis]).unwrap();
+        assert!(out.adopted.is_none());
         assert_eq!(out.solution.status, LpStatus::Optimal);
         // The rejection is typed, not silent: churn that changes the
         // problem shape is observable on the outcome.
@@ -1034,9 +1071,9 @@ mod tests {
         }
         // An accepted warm start reports no rejection.
         let lp = triangle_lp();
-        let own = solve_revised_from(&lp, None).unwrap().basis.unwrap();
-        let warm = solve_revised_from(&lp, Some(&own)).unwrap();
-        assert!(warm.warm_used && warm.warm_rejection.is_none());
+        let own = solve_revised_from(&lp, &[]).unwrap().basis.unwrap();
+        let warm = solve_revised_from(&lp, &[&own]).unwrap();
+        assert!(warm.adopted.is_some() && warm.warm_rejection.is_none());
     }
 
     /// `Basis` dimensions are public, so a caller can desynchronize them
@@ -1053,13 +1090,13 @@ mod tests {
             .add_constraint(vec![(0, 1.0)], ConstraintSense::Le, 1.0)
             .unwrap();
         small.set_bounds(0, 0.0, 1.0).unwrap();
-        let mut basis = solve_revised_from(&small, None).unwrap().basis.unwrap();
+        let mut basis = solve_revised_from(&small, &[]).unwrap().basis.unwrap();
         assert_eq!(basis.statuses().len(), 2);
         // Tamper the public width to match the triangle LP's 3 columns
         // while the status vector stays at length 2.
         basis.num_cols = 3;
-        let out = solve_revised_from(&triangle_lp(), Some(&basis)).unwrap();
-        assert!(!out.warm_used);
+        let out = solve_revised_from(&triangle_lp(), &[&basis]).unwrap();
+        assert!(out.adopted.is_none());
         assert!(
             matches!(
                 out.warm_rejection,
@@ -1068,6 +1105,116 @@ mod tests {
                     lp_cols: 3,
                     ..
                 })
+            ),
+            "{:?}",
+            out.warm_rejection
+        );
+        assert_optimal(&out.solution, -7.0, 1e-8);
+    }
+
+    /// An empty candidate list is the cold solve, and a declined
+    /// candidate leaves the cold start untouched: same objective,
+    /// iterations, point and exported basis, bit for bit.
+    #[test]
+    fn declined_or_absent_candidates_leave_the_cold_solve_unchanged() {
+        let lp = transportation_lp();
+        let cold = solve_revised_from(&lp, &[]).unwrap();
+        assert_eq!(cold.adopted, None);
+        assert!(cold.warm_rejection.is_none());
+        assert_optimal(&cold.solution, 150.0, 1e-7);
+        // Pinned from the single-basis API this list replaced.
+        {
+            use BasisVarStatus::{AtLower, Basic};
+            assert_eq!(cold.solution.iterations, 9);
+            assert_eq!(cold.solution.objective.to_bits(), 150.0f64.to_bits());
+            assert_eq!(cold.solution.x, [5.0, 0.0, 15.0, 5.0, 25.0, 0.0]);
+            let basis = cold.basis.as_ref().expect("optimal solve exports a basis");
+            assert_eq!(
+                basis.statuses(),
+                [Basic, AtLower, Basic, Basic, Basic, AtLower, AtLower, Basic]
+            );
+            assert_eq!(basis.carried_pivots(), 8);
+        }
+        let exported = cold.basis.clone().expect("optimal solve exports a basis");
+
+        // Every column basic: the wrong basic count, declined silently.
+        let hostile = Basis::from_statuses(5, vec![BasisVarStatus::Basic; 8]);
+        let declined = solve_revised_from(&lp, &[&hostile]).unwrap();
+        assert_eq!(declined.adopted, None);
+        assert!(declined.warm_rejection.is_none());
+        assert_eq!(
+            declined.solution.objective.to_bits(),
+            cold.solution.objective.to_bits()
+        );
+        assert_eq!(declined.solution.iterations, cold.solution.iterations);
+        assert_eq!(declined.solution.x, cold.solution.x);
+        assert_eq!(declined.basis.as_ref(), Some(&exported));
+    }
+
+    #[test]
+    fn a_shape_mismatched_candidate_is_rejected_and_the_next_adopted() {
+        let stale = solve_revised_from(&triangle_lp(), &[])
+            .unwrap()
+            .basis
+            .unwrap();
+        let lp = transportation_lp();
+        let own = solve_revised_from(&lp, &[]).unwrap().basis.unwrap();
+        let out = solve_revised_from(&lp, &[&stale, &own]).unwrap();
+        assert_eq!(out.adopted, Some(1));
+        assert!(
+            matches!(
+                out.warm_rejection,
+                Some(LpError::BasisShapeMismatch {
+                    basis_rows: 1,
+                    basis_cols: 3,
+                    lp_rows: 5,
+                    lp_cols: 8,
+                })
+            ),
+            "{:?}",
+            out.warm_rejection
+        );
+        assert_optimal(&out.solution, 150.0, 1e-7);
+    }
+
+    #[test]
+    fn an_infeasible_candidate_is_declined_silently_and_the_next_adopted() {
+        use BasisVarStatus::{AtLower, AtUpper, Basic};
+        let lp = triangle_lp();
+        // x basic alone must absorb the whole row: x = 4 > its bound 3.
+        let infeasible = Basis::from_statuses(1, vec![Basic, AtLower, AtLower]);
+        // x at its bound 3, y basic at 1: feasible, not yet optimal.
+        let feasible = Basis::from_statuses(1, vec![AtUpper, Basic, AtLower]);
+        let out = solve_revised_from(&lp, &[&infeasible, &feasible]).unwrap();
+        assert_eq!(out.adopted, Some(1));
+        assert!(out.warm_rejection.is_none(), "{:?}", out.warm_rejection);
+        assert_optimal(&out.solution, -7.0, 1e-8);
+    }
+
+    /// `from_statuses` checks nothing, so every acceptance check still
+    /// runs on what it builds: none of these panics or is adopted.
+    #[test]
+    fn tampered_from_statuses_candidates_are_declined_without_panicking() {
+        use BasisVarStatus::{AtLower, AtUpper, Basic};
+        let lp = triangle_lp();
+        let candidates = [
+            // Two basic columns for one row.
+            Basis::from_statuses(1, vec![Basic, Basic, AtLower]),
+            // The slack is unbounded above.
+            Basis::from_statuses(1, vec![Basic, AtLower, AtUpper]),
+            // Claims a second row the problem does not have.
+            Basis::from_statuses(2, vec![AtLower, Basic, Basic]),
+            // Too few columns.
+            Basis::from_statuses(1, vec![Basic]),
+        ];
+        let refs: Vec<&Basis> = candidates.iter().collect();
+        let out = solve_revised_from(&lp, &refs).unwrap();
+        assert_eq!(out.adopted, None);
+        // The first *structural* rejection is the one reported.
+        assert!(
+            matches!(
+                out.warm_rejection,
+                Some(LpError::BasisShapeMismatch { basis_rows: 2, .. })
             ),
             "{:?}",
             out.warm_rejection
@@ -1097,15 +1244,15 @@ mod tests {
             }
             lp
         };
-        let mut basis = solve_revised_from(&make(false), None)
+        let mut basis = solve_revised_from(&make(false), &[])
             .unwrap()
             .basis
             .unwrap();
         let mut max_debt = basis.carried_pivots();
         let mut debt_dropped = false;
         for k in 0..(2 * REFACTOR_EVERY + 8) {
-            let out = solve_revised_from(&make(k % 2 == 0), Some(&basis)).unwrap();
-            assert!(out.warm_used, "chain went cold at solve {k}");
+            let out = solve_revised_from(&make(k % 2 == 0), &[&basis]).unwrap();
+            assert!(out.adopted.is_some(), "chain went cold at solve {k}");
             let next = out.basis.unwrap();
             if next.carried_pivots() < basis.carried_pivots() {
                 debt_dropped = true;

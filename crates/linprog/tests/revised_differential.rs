@@ -180,22 +180,22 @@ fn warm_started_solves_match_cold_solves_on_random_instances() {
             .set_objective(objective)
             .map_err(|e| e.to_string())?;
 
-        let seed = solve_from(&base, None).map_err(|e| e.to_string())?;
+        let seed = solve_from(&base, &[]).map_err(|e| e.to_string())?;
         prop_assert_eq!(seed.solution.status, LpStatus::Optimal);
         let Some(basis) = seed.basis else {
             return Ok(()); // no exportable basis (artificial stuck); nothing to chain
         };
-        let warm = solve_revised_from(&neighbor, Some(&basis)).map_err(|e| e.to_string())?;
-        let cold = solve_revised_from(&neighbor, None).map_err(|e| e.to_string())?;
+        let warm = solve_revised_from(&neighbor, &[&basis]).map_err(|e| e.to_string())?;
+        let cold = solve_revised_from(&neighbor, &[]).map_err(|e| e.to_string())?;
         prop_assert_eq!(warm.solution.status, cold.solution.status);
         if cold.solution.status == LpStatus::Optimal {
             let scale = 1.0 + cold.solution.objective.abs();
             prop_assert!(
                 (warm.solution.objective - cold.solution.objective).abs() < 1e-7 * scale,
-                "warm {} vs cold {} (warm_used: {})",
+                "warm {} vs cold {} (adopted: {:?})",
                 warm.solution.objective,
                 cold.solution.objective,
-                warm.warm_used
+                warm.adopted
             );
             prop_assert!(neighbor.max_violation(&warm.solution.x) < 1e-6);
         }
