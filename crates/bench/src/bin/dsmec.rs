@@ -32,6 +32,8 @@ fn main() -> ExitCode {
 fn run() -> Result<(), String> {
     let mut args = std::env::args().skip(1);
     let command = args.next().unwrap_or_else(|| "--help".to_string());
+    let known = command_flags(&command)
+        .ok_or_else(|| format!("unknown command `{command}` (see --help)"))?;
     let mut flags: HashMap<String, String> = HashMap::new();
     let mut switches: Vec<String> = Vec::new();
     let mut positionals: Vec<String> = Vec::new();
@@ -42,8 +44,13 @@ fn run() -> Result<(), String> {
             continue;
         }
         if let Some(name) = arg.strip_prefix("--") {
+            if !GLOBAL_FLAGS.contains(&name) && !known.contains(&name) {
+                return Err(format!(
+                    "unknown flag --{name} for `{command}` (see --help)"
+                ));
+            }
             match name {
-                "contention" | "quick" => switches.push(name.to_string()),
+                "contention" => switches.push(name.to_string()),
                 _ => pending = Some(name.to_string()),
             }
         } else if matches!(command.as_str(), "trace" | "metrics" | "top") {
@@ -81,6 +88,48 @@ fn run() -> Result<(), String> {
         println!("wrote trace {path}");
     }
     outcome
+}
+
+/// Flags every command accepts: `--threads N` and `--trace P`.
+const GLOBAL_FLAGS: [&str; 2] = ["threads", "trace"];
+
+/// The flags (and the `--contention` switch) `command` reads, besides
+/// [`GLOBAL_FLAGS`]; `None` for an unknown command.
+fn command_flags(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "generate" => &[
+            "seed",
+            "stations",
+            "devices-per-station",
+            "tasks",
+            "max-input-kb",
+            "out",
+        ],
+        "assign" => &["scenario", "algorithm", "seed", "out"],
+        "simulate" => &["scenario", "assignment", "contention", "chaos", "chaos-out"],
+        "report" => &["scenario", "assignment"],
+        "divisible" => &["seed", "tasks", "items"],
+        "serve" => &[
+            "seed",
+            "epochs",
+            "batch",
+            "stations",
+            "devices-per-station",
+            "max-input-kb",
+            "rate",
+            "chaos",
+            "cloud-limit",
+            "metrics-out",
+            "metrics-addr",
+            "out",
+        ],
+        "compare" => &["scenario", "seed"],
+        "trace" => &["folded", "baseline", "gate", "min-total-ms", "floor", "top"],
+        "metrics" => &["slo"],
+        "top" => &["addr", "interval-ms", "iterations"],
+        "--help" | "-h" | "help" => &[],
+        _ => return None,
+    })
 }
 
 /// `dsmec trace <FILE>` / `dsmec trace --baseline OLD NEW --gate R`.

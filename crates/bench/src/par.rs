@@ -137,7 +137,7 @@ impl<R> Slots<R> {
 /// Granularity is adaptive: the first `min(2, len)` items run (and are
 /// timed) on the calling thread, and worker threads are spawned only when
 /// the remaining work projected from the *slowest* probe item clears
-/// [`SPAWN_FLOOR_NS`] — cheap sweeps finish serially rather than paying
+/// `SPAWN_FLOOR_NS` — cheap sweeps finish serially rather than paying
 /// spawn/join overhead per point, while a cheap first item cannot mask an
 /// expensive tail.
 ///

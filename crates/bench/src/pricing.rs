@@ -1,24 +1,24 @@
 //! Chunked parallel cost-table pricing (DESIGN.md §11).
 //!
-//! [`dsmec_core::costs::CostTable::build`] prices tasks serially; this
-//! module fans the *infallible* arena kernel
-//! ([`mec_sim::cost::evaluate_resolved`]) out over fixed task chunks with
-//! [`crate::par::par_map`] and concatenates the chunk matrices back in
-//! task order. The fallible [`mec_sim::cost::resolve`] pass stays serial
-//! so the first error (in task order) wins deterministically regardless
-//! of thread count — `par_map_result` aborts early and can observe a
-//! *later* failure first, which would make the reported error
-//! thread-count-dependent.
+//! [`dsmec_core::costs::CostTable::build`] prices tasks serially through
+//! [`mec_sim::cost::evaluate`]; this module splits the tasks into fixed
+//! [`CHUNK_TASKS`]-sized ranges, prices each range with the same
+//! [`CostMatrix::build`] under [`crate::par::par_map`], and concatenates
+//! the chunk matrices back in task order.
+//!
+//! Errors stay deterministic: every chunk runs to its own first error,
+//! and the chunks are inspected in task order, so the first failing
+//! chunk's error — the first error in task order — is returned whatever
+//! the thread count. (`par_map_result` aborts early and could report a
+//! *later* failure first.)
 //!
 //! Bit-identity with the serial build holds by construction: both paths
-//! price each task through the same `site_costs` kernel with the same
-//! resolved values, and fixed chunk boundaries + in-order concatenation
-//! reproduce the serial row order exactly.
+//! price each task through the same `evaluate`, and fixed chunk
+//! boundaries + in-order concatenation reproduce the serial row order.
 
 use dsmec_core::costs::CostTable;
 use dsmec_core::error::AssignError;
-use mec_sim::arena::ScenarioArena;
-use mec_sim::cost::{self, CostFacts, CostMatrix};
+use mec_sim::cost::CostMatrix;
 use mec_sim::task::HolisticTask;
 use mec_sim::topology::MecSystem;
 
@@ -27,7 +27,7 @@ use mec_sim::topology::MecSystem;
 /// for every `--threads` setting.
 pub const CHUNK_TASKS: usize = 8192;
 
-/// Prices every task in `tasks`, fanning the arena kernel out over
+/// Prices every task in `tasks`, fanning [`CostMatrix::build`] out over
 /// [`CHUNK_TASKS`]-sized chunks. Produces a table bit-identical to
 /// [`CostTable::build`] on the same inputs.
 ///
@@ -39,92 +39,100 @@ pub fn build_cost_table(
     tasks: &[HolisticTask],
 ) -> Result<CostTable, AssignError> {
     let _timer = mec_obs::span("cost/build");
-    let arena = ScenarioArena::from_system(system).map_err(AssignError::Mec)?;
-    // Serial fallible pass: validation + handle resolution, task order.
-    let mut facts = Vec::with_capacity(tasks.len());
-    for task in tasks {
-        facts.push(cost::resolve(system, task).map_err(AssignError::Mec)?);
-    }
-    let matrix = price_resolved(system, &arena, tasks, &facts);
-    Ok(CostTable::from_matrix(matrix))
-}
-
-/// The infallible kernel fan-out: chunked `par_map`, in-order append.
-fn price_resolved(
-    system: &MecSystem,
-    arena: &ScenarioArena,
-    tasks: &[HolisticTask],
-    facts: &[CostFacts],
-) -> CostMatrix {
-    debug_assert_eq!(tasks.len(), facts.len());
     let bounds: Vec<(usize, usize)> = (0..tasks.len())
-        .step_by(CHUNK_TASKS.max(1))
+        .step_by(CHUNK_TASKS)
         .map(|lo| (lo, (lo + CHUNK_TASKS).min(tasks.len())))
         .collect();
-    let mut chunks = crate::par::par_map(&bounds, |&(lo, hi)| {
-        let mut m = CostMatrix::with_capacity(hi - lo);
-        for i in lo..hi {
-            m.push(cost::evaluate_resolved(system, arena, &tasks[i], facts[i]));
-        }
-        m
+    let chunks = crate::par::par_map(&bounds, |&(lo, hi)| {
+        CostMatrix::build(system, &tasks[lo..hi])
     });
     let mut matrix = CostMatrix::with_capacity(tasks.len());
-    for chunk in &mut chunks {
-        matrix.append(chunk);
+    for chunk in chunks {
+        matrix.append(&mut chunk.map_err(AssignError::Mec)?);
     }
-    matrix
+    Ok(CostTable::from_matrix(matrix))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mec_sim::task::ExecutionSite;
+    use mec_sim::topology::DeviceId;
     use mec_sim::units::Seconds;
-    use mec_sim::workload::ScenarioConfig;
+    use mec_sim::workload::{Scenario, ScenarioConfig};
 
-    #[test]
-    fn parallel_build_is_bit_identical_to_serial() {
-        let mut cfg = ScenarioConfig::paper_defaults(7);
-        cfg.tasks_total = 300; // spans multiple probe items but one chunk
-        let s = cfg.generate().unwrap();
-        let serial = CostTable::build(&s.system, &s.tasks).unwrap();
+    /// Runs `build_cost_table` at each thread count in `threads`.
+    fn priced_at(
+        threads: &[usize],
+        system: &MecSystem,
+        tasks: &[HolisticTask],
+    ) -> Vec<Result<CostTable, AssignError>> {
         let _t = crate::par::THREADS_TEST_LOCK
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        for threads in [1, 4] {
-            crate::par::set_threads(threads);
-            let parallel = build_cost_table(&s.system, &s.tasks);
-            crate::par::set_threads(0);
-            assert_eq!(parallel.unwrap(), serial, "threads={threads}");
+        threads
+            .iter()
+            .map(|&n| {
+                crate::par::set_threads(n);
+                let table = build_cost_table(system, tasks);
+                crate::par::set_threads(0);
+                table
+            })
+            .collect()
+    }
+
+    fn assert_bit_identical(a: &CostTable, b: &CostTable, what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: row count");
+        for i in 0..a.len() {
+            for site in ExecutionSite::ALL {
+                let (x, y) = (a.at(i, site), b.at(i, site));
+                assert_eq!(
+                    (x.time.value().to_bits(), x.energy.value().to_bits()),
+                    (y.time.value().to_bits(), y.energy.value().to_bits()),
+                    "{what}: task {i} at {site}"
+                );
+            }
+        }
+    }
+
+    fn scenario(seed: u64, tasks: usize) -> Scenario {
+        let mut cfg = ScenarioConfig::paper_defaults(seed);
+        cfg.tasks_total = tasks;
+        cfg.generate().unwrap()
+    }
+
+    #[test]
+    fn parallel_build_is_bit_identical_to_serial() {
+        let s = scenario(7, 300); // one chunk
+        let serial = CostTable::build(&s.system, &s.tasks).unwrap();
+        for (threads, parallel) in [1, 4].iter().zip(priced_at(&[1, 4], &s.system, &s.tasks)) {
+            assert_bit_identical(&parallel.unwrap(), &serial, &format!("threads={threads}"));
         }
     }
 
     #[test]
     fn chunk_boundaries_do_not_reorder_rows() {
-        // Force several chunks by shrinking the chunk constant's effect:
-        // price a task count just over one chunk via repeated slices.
-        let mut cfg = ScenarioConfig::paper_defaults(8);
-        cfg.tasks_total = 64;
-        let s = cfg.generate().unwrap();
+        // Two full chunks plus a partial third.
+        let s = scenario(8, 2 * CHUNK_TASKS + 77);
         let serial = CostTable::build(&s.system, &s.tasks).unwrap();
-        let arena = ScenarioArena::from_system(&s.system).unwrap();
-        let facts: Vec<CostFacts> = s
-            .tasks
-            .iter()
-            .map(|t| cost::resolve(&s.system, t).unwrap())
-            .collect();
-        let matrix = price_resolved(&s.system, &arena, &s.tasks, &facts);
-        assert_eq!(CostTable::from_matrix(matrix), serial);
+        for (threads, parallel) in [1, 4].iter().zip(priced_at(&[1, 4], &s.system, &s.tasks)) {
+            assert_bit_identical(&parallel.unwrap(), &serial, &format!("threads={threads}"));
+        }
     }
 
     #[test]
     fn first_error_in_task_order_wins() {
-        let s = ScenarioConfig::paper_defaults(9).generate().unwrap();
+        let s = scenario(9, 2 * CHUNK_TASKS + 77);
         let mut tasks = s.tasks.clone();
-        // Invalidate two tasks; the earlier one must be reported.
-        tasks[5].deadline = Seconds::ZERO;
-        tasks[2].deadline = Seconds::ZERO;
-        let serial = CostTable::build(&s.system, &tasks).unwrap_err();
-        let parallel = build_cost_table(&s.system, &tasks).unwrap_err();
-        assert_eq!(parallel.to_string(), serial.to_string());
+        // One invalid task in chunk 2 and a different failure in chunk 1;
+        // chunk 1's error must be reported.
+        tasks[2 * CHUNK_TASKS + 5].deadline = Seconds::ZERO;
+        tasks[CHUNK_TASKS + 3].owner = DeviceId(usize::MAX);
+        let serial = CostTable::build(&s.system, &tasks).unwrap_err().to_string();
+        assert!(serial.contains("unknown device"), "{serial}");
+        for (threads, parallel) in [1, 4].iter().zip(priced_at(&[1, 4], &s.system, &tasks)) {
+            let parallel = parallel.unwrap_err().to_string();
+            assert_eq!(parallel, serial, "threads={threads}");
+        }
     }
 }

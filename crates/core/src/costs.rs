@@ -1,14 +1,11 @@
 //! Precomputed cost tables: `t_ijl`/`E_ijl` for every task × site, shared
 //! by all assignment algorithms so the Section II formulas are evaluated
-//! exactly once per scenario. Since the arena refactor (DESIGN.md §11)
-//! the storage is a flat [`CostMatrix`] — two contiguous stride-3
-//! `Vec<f64>`s — built through [`mec_sim::arena::ScenarioArena`] rows, so
-//! pricing 10⁵ tasks is a cache-linear scan and chunked parallel builders
-//! (see the bench layer) can assemble a table from independently priced
-//! ranges.
+//! exactly once per scenario. The storage is a flat [`CostMatrix`] — two
+//! contiguous stride-3 `Vec<f64>`s filled by [`mec_sim::cost::evaluate`]
+//! per task (DESIGN.md §11) — so chunked parallel builders (see the bench
+//! layer) can assemble a table from independently priced task ranges.
 
 use crate::error::AssignError;
-use mec_sim::arena::ScenarioArena;
 use mec_sim::cost::{CostMatrix, SiteCost, TaskCosts};
 use mec_sim::task::{ExecutionSite, HolisticTask};
 use mec_sim::topology::MecSystem;
@@ -32,9 +29,9 @@ impl CostTable {
     /// first task first.
     pub fn build(system: &MecSystem, tasks: &[HolisticTask]) -> Result<CostTable, AssignError> {
         let _timer = mec_obs::span("cost/build");
-        let arena = ScenarioArena::from_system(system)?;
-        let matrix = CostMatrix::build(system, &arena, tasks)?;
-        Ok(CostTable { matrix })
+        Ok(CostTable {
+            matrix: CostMatrix::build(system, tasks)?,
+        })
     }
 
     /// Wraps an already-built matrix (e.g. one assembled from parallel
@@ -133,7 +130,7 @@ mod tests {
             let direct = evaluate(&s.system, t).unwrap();
             for site in ExecutionSite::ALL {
                 assert_eq!(table.at(i, site), direct.at(site));
-                // Bit-identity of the arena path, not mere closeness.
+                // Bit-identity, not mere closeness.
                 assert_eq!(
                     table.at(i, site).time.value().to_bits(),
                     direct.at(site).time.value().to_bits()

@@ -14,8 +14,8 @@
 //!    cloud, whose resources the paper treats as unconstrained — when
 //!    their current site no longer fits the remaining deadline;
 //! 3. reassignments that would overflow a station's residual capacity go
-//!    through the same [`repair_capacity`] machinery LP-HTA uses for its
-//!    Steps 5–6, with cloud as the relief valve;
+//!    through the same `lp_hta::repair_capacity` machinery LP-HTA uses
+//!    for its Steps 5–6, with cloud as the relief valve;
 //! 4. the next wave re-releases the replanned tasks at their backoff
 //!    times.
 //!
@@ -460,11 +460,9 @@ pub fn execute_with_repair(
                             // else the cheapest fitting site, else cloud
                             // (runs and reports its miss — explicit, not
                             // dropped).
-                            let task_costs =
-                                CostTable::build(system, std::slice::from_ref(&current[idx]))?;
+                            let task_costs = mec_sim::cost::evaluate(system, &current[idx])?;
                             let remaining = tasks[idx].deadline - hit.time;
-                            let fits =
-                                |site: ExecutionSite| task_costs.at(0, site).time <= remaining;
+                            let fits = |site: ExecutionSite| task_costs.at(site).time <= remaining;
                             let site = if fits(p.site) {
                                 p.site
                             } else {
@@ -473,10 +471,10 @@ pub fn execute_with_repair(
                                     .filter(|s| fits(*s))
                                     .min_by(|a, b| {
                                         task_costs
-                                            .at(0, *a)
+                                            .at(*a)
                                             .energy
                                             .value()
-                                            .total_cmp(&task_costs.at(0, *b).energy.value())
+                                            .total_cmp(&task_costs.at(*b).energy.value())
                                     })
                                     .unwrap_or(ExecutionSite::Cloud)
                             };

@@ -13,7 +13,6 @@
 //!   station–cloud backhaul together with the result, the cloud computes,
 //!   the owner downloads the result.
 
-use crate::arena::{DeviceIdx, ScenarioArena};
 use crate::error::MecError;
 use crate::radio::RadioLink;
 use crate::task::{ExecutionSite, HolisticTask};
@@ -122,79 +121,9 @@ pub fn evaluate(system: &MecSystem, task: &HolisticTask) -> Result<TaskCosts, Me
     ))
 }
 
-/// Resolved per-task lookups for the arena batch path: the owner's device
-/// row and, when the task has external data, the source's row plus
-/// whether retrieval crosses clusters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CostFacts {
-    /// The task owner's device row.
-    pub owner: DeviceIdx,
-    /// `(source row, crosses clusters)` when `β > 0`.
-    pub external: Option<(DeviceIdx, bool)>,
-}
-
-/// Validates `task` against `system` and resolves the device rows the
-/// cost kernel needs — the exact checks (and error order) of
-/// [`evaluate`], split out so a batch builder can run them serially once
-/// and then price tasks with the infallible kernel, chunked across
-/// threads.
-///
-/// # Errors
-///
-/// Exactly [`evaluate`]'s errors, plus [`MecError::IndexOverflow`] for
-/// ids past the `u32` handle space.
-pub fn resolve(system: &MecSystem, task: &HolisticTask) -> Result<CostFacts, MecError> {
-    task.validate()?;
-    let owner = system.device(task.owner)?;
-    system.station(owner.station)?;
-    let external = match task.external_source {
-        Some(src) => {
-            system.device(src)?;
-            let cross = !system.same_cluster(task.owner, src)?;
-            Some((DeviceIdx::from_id(src)?, cross))
-        }
-        None => None,
-    };
-    Ok(CostFacts {
-        owner: DeviceIdx::from_id(task.owner)?,
-        external,
-    })
-}
-
-/// Prices one task from pre-resolved [`CostFacts`], reading device and
-/// station fields from the arena rows — bit-identical to [`evaluate`]
-/// because both call the same [`site_costs`] kernel with the same values.
-///
-/// # Panics
-///
-/// Panics if `facts` or `arena` were not built from `system` (row indices
-/// out of range).
-#[must_use]
-#[inline]
-pub fn evaluate_resolved(
-    system: &MecSystem,
-    arena: &ScenarioArena,
-    task: &HolisticTask,
-    facts: CostFacts,
-) -> TaskCosts {
-    let owner = facts.owner.index();
-    let station = arena.dev_station[owner] as usize;
-    let external = facts
-        .external
-        .map(|(src, cross)| (arena.dev_link[src.index()], cross));
-    site_costs(
-        system,
-        task,
-        &arena.dev_link[owner],
-        arena.dev_cpu[owner],
-        arena.st_cpu[station],
-        external,
-    )
-}
-
-/// The Section II arithmetic shared by [`evaluate`] and
-/// [`evaluate_resolved`]: every formula in one place so the struct path
-/// and the arena path cannot drift.
+/// The Section II arithmetic behind [`evaluate`], given the owner's link
+/// and CPU, its station's CPU and the external source's link (with
+/// whether retrieval crosses clusters).
 #[inline]
 fn site_costs(
     system: &MecSystem,
@@ -320,22 +249,15 @@ impl CostMatrix {
         }
     }
 
-    /// Prices every task serially: one [`resolve`] pass (first error
-    /// wins, in task order) and one kernel pass — the reference the
-    /// chunked parallel builders must be bit-identical to.
+    /// Prices every task with [`evaluate`], in task order.
     ///
     /// # Errors
     ///
-    /// Exactly the per-task [`resolve`] errors, first task first.
-    pub fn build(
-        system: &MecSystem,
-        arena: &ScenarioArena,
-        tasks: &[HolisticTask],
-    ) -> Result<CostMatrix, MecError> {
+    /// The first task's [`evaluate`] error, in task order.
+    pub fn build(system: &MecSystem, tasks: &[HolisticTask]) -> Result<CostMatrix, MecError> {
         let mut m = CostMatrix::with_capacity(tasks.len());
         for task in tasks {
-            let facts = resolve(system, task)?;
-            m.push(evaluate_resolved(system, arena, task, facts));
+            m.push(evaluate(system, task)?);
         }
         Ok(m)
     }

@@ -703,6 +703,16 @@ fn subtract_pass(
     }
 }
 
+/// Checked `usize` → `u32` index conversion for the `u32`-packed
+/// indices below.
+///
+/// # Errors
+///
+/// Returns [`MecError::IndexOverflow`] when `index` exceeds `u32::MAX`.
+fn to_u32(what: &'static str, index: usize) -> Result<u32, MecError> {
+    u32::try_from(index).map_err(|_| MecError::IndexOverflow { what, index })
+}
+
 /// CSR index `item → owning devices` (ascending device id per item),
 /// replacing the `O(devices × words)` scan of [`DataUniverse::owners`]
 /// for algorithms that look owners up inside a loop (DESIGN.md §11).
@@ -723,7 +733,7 @@ impl OwnersIndex {
     pub fn build(universe: &DataUniverse) -> Result<OwnersIndex, MecError> {
         let m = universe.num_items();
         let pairs: usize = universe.holdings.iter().map(ItemSet::len).sum();
-        crate::arena::to_u32("ownership pair count", pairs)?;
+        to_u32("ownership pair count", pairs)?;
         let mut offsets = vec![0u32; m + 1];
         for h in &universe.holdings {
             for id in h.iter() {
@@ -736,7 +746,7 @@ impl OwnersIndex {
         let mut cursor: Vec<u32> = offsets[..m].to_vec();
         let mut owners = vec![0u32; pairs];
         for (i, h) in universe.holdings.iter().enumerate() {
-            let dev = crate::arena::to_u32("device index", i)?;
+            let dev = to_u32("device index", i)?;
             for id in h.iter() {
                 owners[cursor[id.0] as usize] = dev;
                 cursor[id.0] += 1;
@@ -1092,6 +1102,14 @@ mod tests {
             assert_eq!(index.owners(id), via_scan.as_slice(), "item {item}");
         }
         assert!(index.owners(DataItemId(70)).is_empty(), "out of range");
+    }
+
+    #[test]
+    fn overflow_is_a_typed_error() {
+        let err = to_u32("device index", u32::MAX as usize + 1).unwrap_err();
+        assert!(matches!(err, MecError::IndexOverflow { .. }));
+        assert!(err.to_string().contains("device index"));
+        assert_eq!(to_u32("ok", 17).unwrap(), 17);
     }
 
     #[test]

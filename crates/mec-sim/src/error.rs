@@ -22,8 +22,8 @@ pub enum MecError {
         /// Human-readable explanation.
         reason: String,
     },
-    /// An entity index does not fit the arena's `u32` handle space
-    /// (DESIGN.md §11).
+    /// An entity index does not fit a `u32`-packed index structure such
+    /// as `data::OwnersIndex` (DESIGN.md §11).
     IndexOverflow {
         /// Which index space overflowed.
         what: &'static str,
@@ -43,7 +43,7 @@ impl fmt::Display for MecError {
                 write!(f, "invalid parameter `{name}`: {reason}")
             }
             MecError::IndexOverflow { what, index } => {
-                write!(f, "{what} {index} does not fit a u32 arena handle")
+                write!(f, "{what} {index} does not fit a u32 index")
             }
         }
     }

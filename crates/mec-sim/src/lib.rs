@@ -32,7 +32,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod aggregate;
-pub mod arena;
 pub mod backhaul;
 pub mod battery;
 pub mod compute;

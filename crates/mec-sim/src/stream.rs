@@ -55,8 +55,14 @@ impl StreamConfig {
     /// # Errors
     ///
     /// Returns [`MecError::InvalidParameter`] for zero epochs/batch or a
-    /// non-positive rate, and propagates scenario-generation errors.
+    /// non-positive rate, and propagates scenario-generation errors. A bad
+    /// scenario field is reported before the stream's own parameters.
     pub fn generate(&self) -> Result<TaskStream, MecError> {
+        // `tasks_total` is set from `epochs × batch` below, so any
+        // positive stand-in lets `validate` check the other fields.
+        let mut cfg = self.scenario.clone();
+        cfg.tasks_total = 1;
+        cfg.validate()?;
         if self.epochs == 0 {
             return Err(MecError::InvalidParameter {
                 name: "epochs",
@@ -76,7 +82,6 @@ impl StreamConfig {
                     name: "epochs",
                     reason: format!("{} x {} tasks overflows", self.epochs, self.batch),
                 })?;
-        let mut cfg = self.scenario.clone();
         cfg.tasks_total = total;
         let scenario = cfg.generate()?;
         let arrivals = poisson_arrivals(self.scenario.seed, total, self.rate_per_second)?;
@@ -208,6 +213,31 @@ mod tests {
         cfg.batch = 4;
         cfg.rate_per_second = 0.0;
         assert!(cfg.generate().is_err());
+    }
+
+    #[test]
+    fn a_bad_scenario_is_named_before_the_stream_parameters() {
+        // `dsmec serve --stations 0` builds exactly this config.
+        let mut cfg = StreamConfig::paper_defaults(1, 2);
+        cfg.scenario.num_stations = 0;
+        cfg.batch = 0;
+        let err = cfg.generate().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                MecError::InvalidParameter {
+                    name: "num_stations",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        cfg.scenario.num_stations = 2;
+        let err = cfg.generate().unwrap_err();
+        assert!(
+            matches!(err, MecError::InvalidParameter { name: "batch", .. }),
+            "{err}"
+        );
     }
 
     #[test]

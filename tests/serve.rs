@@ -98,9 +98,9 @@ fn serve_with_churn_is_thread_count_invariant() {
 /// Pins the reference sessions' fingerprints to their golden values.
 /// These are the byte-for-byte decision digests of `dsmec serve --seed
 /// 42 --epochs 20` with and without the documented chaos seed; storage
-/// refactors (the arena/SoA work of DESIGN.md §11 included) must not
-/// move them. A change here means decisions changed — that is a
-/// behavior change to justify, not a constant to update in passing.
+/// and pricing refactors (DESIGN.md §11) must not move them. A change
+/// here means decisions changed — that is a behavior change to justify,
+/// not a constant to update in passing.
 #[test]
 fn reference_session_fingerprints_are_pinned() {
     let _guard = threads_lock();

@@ -13,9 +13,7 @@ use std::process::Command;
 /// greedy division. Every run also checks that `repro` runs each selected
 /// experiment exactly once and leaves no report in its working directory.
 fn record_quick_trace(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dsmec_trace_cli_{tag}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let dir = fresh_dir(tag);
     let trace_path = dir.join("trace.json");
     let output = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args([
@@ -60,16 +58,102 @@ fn record_quick_trace(tag: &str) -> PathBuf {
 
 /// Runs `dsmec trace` with `args` and returns `(exit ok, stdout, stderr)`.
 fn dsmec_trace(args: &[&str]) -> (bool, String, String) {
+    let mut all = vec!["trace"];
+    all.extend_from_slice(args);
+    dsmec_in(&std::env::temp_dir(), &all)
+}
+
+/// Runs `dsmec` with `args` in `dir` and returns `(exit ok, stdout,
+/// stderr)`.
+fn dsmec_in(dir: &Path, args: &[&str]) -> (bool, String, String) {
     let output = Command::new(env!("CARGO_BIN_EXE_dsmec"))
-        .arg("trace")
         .args(args)
+        .current_dir(dir)
+        .env_remove("DSMEC_TRACE")
+        .env_remove("DSMEC_CHAOS")
         .output()
-        .expect("run dsmec trace");
+        .expect("run dsmec");
     (
         output.status.success(),
         String::from_utf8_lossy(&output.stdout).into_owned(),
         String::from_utf8_lossy(&output.stderr).into_owned(),
     )
+}
+
+/// A fresh per-test working directory for commands that write files.
+fn fresh_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("dsmec_trace_cli_{tag}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    dir
+}
+
+#[test]
+fn dsmec_rejects_flags_its_command_does_not_read() {
+    let dir = fresh_dir("flags");
+    // A flag its command does not read must fail before anything runs:
+    // ignored, `serve --epoch 2` would run the default 20 epochs.
+    for (args, flag) in [
+        (&["serve", "--epoch", "2"][..], "--epoch"),
+        (&["generate", "--sed", "7"], "--sed"),
+        (&["assign", "--quick"], "--quick"),
+        (&["report", "--contention"], "--contention"),
+        (&["metrics", "flight.jsonl", "--gate", "1.1"], "--gate"),
+    ] {
+        let (ok, stdout, stderr) = dsmec_in(&dir, args);
+        assert!(!ok, "{args:?} must fail");
+        assert!(
+            stderr.contains(&format!("unknown flag {flag} for `{}`", args[0])),
+            "{args:?}: {stderr}"
+        );
+        assert!(stdout.is_empty(), "{args:?} ran: {stdout}");
+    }
+    let (ok, _, stderr) = dsmec_in(&dir, &["bogus", "--x"]);
+    assert!(!ok);
+    assert!(stderr.contains("unknown command `bogus`"), "{stderr}");
+    let written = std::fs::read_dir(&dir).expect("list temp dir").count();
+    assert_eq!(written, 0, "a rejected command wrote files");
+
+    // A command's own flags and the global ones are still accepted.
+    let (ok, stdout, stderr) = dsmec_in(
+        &dir,
+        &[
+            "generate",
+            "--seed",
+            "7",
+            "--tasks",
+            "5",
+            "--threads",
+            "1",
+            "--out",
+            "s.json",
+        ],
+    );
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("5 tasks"), "{stdout}");
+    let (ok, _, stderr) = dsmec_in(
+        &dir,
+        &[
+            "simulate",
+            "--scenario",
+            "s.json",
+            "--contention",
+            "--assignment",
+        ],
+    );
+    assert!(!ok);
+    assert!(
+        stderr.contains("flag --assignment needs a value"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn dsmec_serve_names_the_bad_scenario_parameter() {
+    let dir = fresh_dir("serve_stations");
+    let (ok, _, stderr) = dsmec_in(&dir, &["serve", "--stations", "0", "--epochs", "1"]);
+    assert!(!ok);
+    assert!(stderr.contains("`num_stations`"), "{stderr}");
 }
 
 fn read_trace(path: &Path) -> TraceSnapshot {
