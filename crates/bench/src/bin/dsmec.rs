@@ -38,13 +38,17 @@ fn run() -> Result<(), String> {
     let mut switches: Vec<String> = Vec::new();
     let mut positionals: Vec<String> = Vec::new();
     let mut pending: Option<String> = None;
+    // The analyzers read traces and flight logs and never record one, so
+    // they take no `--trace` of their own.
+    let analyzer = matches!(command.as_str(), "trace" | "metrics" | "top");
     for arg in args {
         if let Some(name) = pending.take() {
             flags.insert(name, arg);
             continue;
         }
         if let Some(name) = arg.strip_prefix("--") {
-            if !GLOBAL_FLAGS.contains(&name) && !known.contains(&name) {
+            let global = GLOBAL_FLAGS.contains(&name) && !(analyzer && name == "trace");
+            if !global && !known.contains(&name) {
                 return Err(format!(
                     "unknown flag --{name} for `{command}` (see --help)"
                 ));
@@ -53,7 +57,7 @@ fn run() -> Result<(), String> {
                 "contention" => switches.push(name.to_string()),
                 _ => pending = Some(name.to_string()),
             }
-        } else if matches!(command.as_str(), "trace" | "metrics" | "top") {
+        } else if analyzer {
             // Only the analyzers take positional operands (their input
             // files); everywhere else a stray word is still a usage error.
             positionals.push(arg);
@@ -68,7 +72,6 @@ fn run() -> Result<(), String> {
         mec_bench::cli::apply_threads(spec)?;
     }
     if command == "trace" {
-        // Offline analysis of an existing trace: never records one.
         return run_trace(&flags, &positionals);
     }
     if command == "metrics" {
@@ -90,7 +93,8 @@ fn run() -> Result<(), String> {
     outcome
 }
 
-/// Flags every command accepts: `--threads N` and `--trace P`.
+/// Flags every command accepts: `--threads N`, and `--trace P` on all but
+/// the analyzers (`trace`, `metrics`, `top`).
 const GLOBAL_FLAGS: [&str; 2] = ["threads", "trace"];
 
 /// The flags (and the `--contention` switch) `command` reads, besides
@@ -490,7 +494,8 @@ fn dispatch(
             eprintln!("global flags:");
             eprintln!("  --threads N  worker threads for sweeps, pricing and serve's cluster LPs (0 = auto)");
             eprintln!("  --trace P    write an mec-obs trace JSON with flight-recorder");
-            eprintln!("               events (schema v2, DESIGN.md §7)");
+            eprintln!("               events (schema v2, DESIGN.md §7); not for the");
+            eprintln!("               analyzers trace, metrics and top");
             eprintln!("environment:");
             eprintln!("  DSMEC_THREADS=N       worker threads when --threads is not given");
             eprintln!("  DSMEC_TRACE=P         trace output path when --trace is not given");

@@ -949,7 +949,7 @@ pub fn ext_arrivals(opts: &ExperimentOptions) -> FigResult {
     ))
 }
 
-/// Scale guard (ROADMAP item 5): a 10⁵-device fleet priced end-to-end
+/// Scale guard: a 10⁵-device fleet priced end-to-end
 /// plus a 10⁵-device shared-data universe divided by both DTA greedy
 /// rules. Every series is structural (counts, not wall times), so the CSV
 /// is bit-identical run to run and across thread counts; the timing

@@ -28,7 +28,9 @@ use mec_sim::topology::DeviceId;
 ///
 /// Returns [`AssignError::Unsupported`] when some required item is owned
 /// by no device (cannot happen for universes built through
-/// [`DataUniverse::new`], which enforces coverage).
+/// [`DataUniverse::new`], which enforces coverage), and [`AssignError::Mec`]
+/// when a device holds more items than the greedy's `u16` usable counts
+/// fit ([`HoldingsMatrix::build`]).
 pub fn divide_balanced(
     universe: &DataUniverse,
     required: &ItemSet,
@@ -77,14 +79,14 @@ fn divide_greedy(
     let mut residual = required.clone();
     let mut shares = vec![ItemSet::new(required.capacity()); n];
 
-    // Word-major holdings matrix plus incrementally maintained usable
-    // counts `|D_i ∩ residual|` turn each greedy round into one
-    // cache-linear pass: the grab's per-word decrement, fused with the
-    // chunk minima that let the next round find its device without
-    // scanning every count (DESIGN.md §11). The counts stay exact because
+    // Per-word owner lists plus incrementally maintained usable counts
+    // `|D_i ∩ residual|` turn each greedy round into a walk of the lists
+    // of the grab's words, followed by one refresh of the chunk minima
+    // that let the next round find its device without scanning every
+    // count (DESIGN.md §11). The counts stay exact because
     // each grab is a subset of the residual, so the drop per device is
     // precisely `|D_i ∩ grab|`.
-    let matrix = HoldingsMatrix::build(universe);
+    let matrix = HoldingsMatrix::build(universe)?;
     let mut usable = matrix.greedy_counts(&residual, selection);
     let mut next = usable.select();
 
@@ -661,7 +663,7 @@ mod tests {
                 let wide = |s: &ItemSet| s.words().iter().filter(|&&w| w != 0).count() > 1;
                 multi_word += usize::from(fused.shares().iter().any(wide));
             }
-            let counts = HoldingsMatrix::build(&u).usable_counts(&required);
+            let counts = HoldingsMatrix::build(&u).unwrap().usable_counts(&required);
             let smallest = counts.iter().filter(|&&c| c > 0).min();
             tied += usize::from(
                 smallest.is_some_and(|s| counts.iter().filter(|&c| c == s).count() > 1),
@@ -676,6 +678,41 @@ mod tests {
             multi_word > 40,
             "only {multi_word} runs grab multiple words at once"
         );
+    }
+
+    #[test]
+    fn usable_counts_are_limited_to_u16() {
+        let one_device = |m: usize| {
+            DataUniverse::new(vec![Bytes::from_kb(1.0); m], vec![ItemSet::full(m)]).unwrap()
+        };
+        let m = usize::from(u16::MAX);
+        let fits = one_device(m);
+        let coverage = divide_balanced(&fits, &ItemSet::full(m)).unwrap();
+        assert_eq!(coverage.shares()[0].len(), m);
+
+        let over = one_device(m + 1);
+        let err = HoldingsMatrix::build(&over).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                mec_sim::MecError::InvalidParameter {
+                    name: "holdings",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert!(
+            err.to_string().contains("device 0 holds 65536 items"),
+            "{err}"
+        );
+        assert!(matches!(
+            divide_balanced(&over, &ItemSet::full(m + 1)),
+            Err(AssignError::Mec(mec_sim::MecError::InvalidParameter {
+                name: "holdings",
+                ..
+            }))
+        ));
     }
 
     #[test]

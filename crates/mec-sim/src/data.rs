@@ -460,70 +460,112 @@ impl DataUniverse {
     }
 }
 
-/// Word-major holdings matrix: word `w` of *every* device's holdings laid
-/// out contiguously (`words[w·n + i]` for device `i`), so a scan over all
-/// devices for one item word is a cache-linear pass (DESIGN.md §11). The
-/// DTA greedy rounds seed and maintain per-device usable counts through
-/// this layout instead of re-intersecting every holdings bitset per
-/// round.
+/// Sparse per-word holdings index: for each item word `w`, the devices
+/// whose holdings word `w` is nonzero, ascending, each with that word
+/// (DESIGN.md §11). A DTA greedy round walks only the lists of the words
+/// it grabs, so a one-item round touches the owners of that item's word
+/// instead of every device. The greedy seeds and maintains per-device
+/// `u16` usable counts through this index instead of re-intersecting
+/// every holdings bitset per round.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HoldingsMatrix {
     num_devices: usize,
-    words_per_set: usize,
+    /// List `w` spans `offsets[w]..offsets[w + 1]` of `devices`/`words`.
+    offsets: Vec<usize>,
+    devices: Vec<u32>,
     words: Vec<u64>,
 }
 
 impl HoldingsMatrix {
-    /// Transposes a universe's holdings into word-major order.
-    pub fn build(universe: &DataUniverse) -> HoldingsMatrix {
+    /// Builds the per-word lists in two passes over the holdings (count,
+    /// then fill); devices come out ascending because they are scanned in
+    /// id order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MecError::IndexOverflow`] when the device count exceeds
+    /// the `u32` handle space, and [`MecError::InvalidParameter`] when a
+    /// device holds more than `u16::MAX` items, the limit of the `u16`
+    /// usable counts.
+    pub fn build(universe: &DataUniverse) -> Result<HoldingsMatrix, MecError> {
         let n = universe.num_devices();
         let words_per_set = universe.num_items().div_ceil(64);
-        let mut words = vec![0u64; words_per_set * n];
+        let mut offsets = vec![0usize; words_per_set + 1];
         for (i, h) in universe.holdings.iter().enumerate() {
+            let mut held = 0;
             for (w, &word) in h.words().iter().enumerate() {
-                words[w * n + i] = word;
+                offsets[w + 1] += usize::from(word != 0);
+                held += word.count_ones() as usize;
+            }
+            if held > usize::from(u16::MAX) {
+                return Err(MecError::InvalidParameter {
+                    name: "holdings",
+                    reason: format!(
+                        "device {i} holds {held} items, more than the {} a usable count fits",
+                        u16::MAX
+                    ),
+                });
             }
         }
-        HoldingsMatrix {
-            num_devices: n,
-            words_per_set,
-            words,
+        for w in 1..=words_per_set {
+            offsets[w] += offsets[w - 1];
         }
+        let pairs = offsets[words_per_set];
+        let mut cursor = offsets[..words_per_set].to_vec();
+        let mut devices = vec![0u32; pairs];
+        let mut words = vec![0u64; pairs];
+        for (i, h) in universe.holdings.iter().enumerate() {
+            let dev = to_u32("device index", i)?;
+            for (w, &word) in h.words().iter().enumerate() {
+                if word != 0 {
+                    devices[cursor[w]] = dev;
+                    words[cursor[w]] = word;
+                    cursor[w] += 1;
+                }
+            }
+        }
+        Ok(HoldingsMatrix {
+            num_devices: n,
+            offsets,
+            devices,
+            words,
+        })
     }
 
-    /// Number of devices (columns).
+    /// Number of devices.
     pub fn num_devices(&self) -> usize {
         self.num_devices
     }
 
-    /// Words per holdings set (rows).
+    /// Words per holdings set (one list each).
     pub fn words_per_set(&self) -> usize {
-        self.words_per_set
+        self.offsets.len() - 1
     }
 
-    /// Word `w` of every device's holdings, indexed by device id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w >= words_per_set`.
-    pub fn word_row(&self, w: usize) -> &[u64] {
-        &self.words[w * self.num_devices..(w + 1) * self.num_devices]
+    /// List `w`: the devices whose word `w` is nonzero, ascending, and
+    /// those words.
+    fn list(&self, w: usize) -> (&[u32], &[u64]) {
+        let range = self.offsets[w]..self.offsets[w + 1];
+        (&self.devices[range.clone()], &self.words[range])
     }
 
-    /// `|D_i ∩ set|` for every device: one contiguous row pass per
-    /// nonzero word of `set`.
+    /// `|D_i ∩ set|` for every device: one list walk per nonzero word of
+    /// `set`.
     ///
     /// # Panics
     ///
     /// Panics when `set` was built for a different universe (word count
     /// mismatch), mirroring the [`ItemSet`] capacity assertions.
-    pub fn usable_counts(&self, set: &ItemSet) -> Vec<u32> {
+    pub fn usable_counts(&self, set: &ItemSet) -> Vec<u16> {
         self.check_words(set);
-        let mut counts = vec![0u32; self.num_devices];
+        let mut counts = vec![0u16; self.num_devices];
         for (w, &sw) in set.words().iter().enumerate() {
             if sw != 0 {
-                for (c, &hw) in counts.iter_mut().zip(self.word_row(w)) {
-                    *c += (hw & sw).count_ones();
+                let (devices, words) = self.list(w);
+                for (&d, &hw) in devices.iter().zip(words) {
+                    // At most 64 per word; the sum is at most |D_i|,
+                    // which `build` bounds by `u16::MAX`.
+                    counts[d as usize] += (hw & sw).count_ones() as u16;
                 }
             }
         }
@@ -537,32 +579,24 @@ impl HoldingsMatrix {
     ///
     /// Panics on word-count mismatch with the universe.
     pub fn greedy_counts(&self, residual: &ItemSet, selection: Selection) -> GreedyCounts {
-        let counts = self.usable_counts(residual);
-        let chunk_min = counts
-            .chunks(SELECT_CHUNK)
-            .map(|chunk| {
-                chunk
-                    .iter()
-                    .map(|&c| selection.signed_key(c))
-                    .min()
-                    .unwrap_or(i32::MAX)
-            })
-            .collect();
-        GreedyCounts {
+        let mut state = GreedyCounts {
             selection,
-            counts,
-            chunk_min,
-        }
+            counts: self.usable_counts(residual),
+            chunk_min: vec![i16::MAX; self.num_devices.div_ceil(SELECT_CHUNK)],
+        };
+        state.refresh_minima();
+        state
     }
 
-    /// One greedy round's bookkeeping in one pass per nonzero word of
-    /// `removed`: every device's count drops by `|D_i ∩ removed|` (the
-    /// exact drop when `removed ⊆ residual` leaves the residual set), and
-    /// the last word's pass also recomputes the chunk minima. Returns the
-    /// device the next round takes ([`GreedyCounts::select`]).
+    /// One greedy round's bookkeeping: every device's count drops by
+    /// `|D_i ∩ removed|` (the exact drop when `removed ⊆ residual` leaves
+    /// the residual set), walking the list of each nonzero word of
+    /// `removed` with no per-entry branch; then one pass recomputes every
+    /// chunk minimum. Returns the device the next round takes
+    /// ([`GreedyCounts::select`]).
     ///
     /// A one-bit word, the common case, costs a shift and a mask per
-    /// device instead of a popcount.
+    /// list entry instead of a popcount.
     ///
     /// # Panics
     ///
@@ -576,32 +610,30 @@ impl HoldingsMatrix {
     ) -> Option<usize> {
         self.check_words(removed);
         assert_eq!(state.counts.len(), self.num_devices, "one count per device");
-        let mut nonzero = removed
-            .words()
-            .iter()
-            .enumerate()
-            .filter(|&(_, &sw)| sw != 0)
-            .peekable();
-        while let Some((w, &sw)) = nonzero.next() {
-            let minima = match nonzero.peek() {
-                Some(_) => None,
-                None => Some((state.chunk_min.as_mut_slice(), state.selection)),
-            };
-            let row = self.word_row(w);
+        for (w, &sw) in removed.words().iter().enumerate() {
+            if sw == 0 {
+                continue;
+            }
+            let (devices, words) = self.list(w);
             if sw.is_power_of_two() {
                 let b = sw.trailing_zeros();
-                subtract_pass(&mut state.counts, row, |hw| ((hw >> b) & 1) as u32, minima);
+                subtract_list(&mut state.counts, devices, words, |hw| {
+                    ((hw >> b) & 1) as u16
+                });
             } else {
-                subtract_pass(&mut state.counts, row, |hw| (hw & sw).count_ones(), minima);
+                subtract_list(&mut state.counts, devices, words, |hw| {
+                    (hw & sw).count_ones() as u16
+                });
             }
         }
+        state.refresh_minima();
         state.select()
     }
 
     fn check_words(&self, set: &ItemSet) {
         assert_eq!(
             set.words().len(),
-            self.words_per_set,
+            self.words_per_set(),
             "capacity mismatch between item set and holdings matrix"
         );
     }
@@ -613,7 +645,7 @@ pub const SELECT_CHUNK: usize = 512;
 
 /// Which device a DTA greedy round takes (paper §IV.A and §IV.B). Both
 /// rules pick the *first* device with the smallest selection key — the
-/// usable count `c` mapped to `c − 1` (wrapping) or `u32::MAX − c` —
+/// usable count `c` mapped to `c − 1` (wrapping) or `u16::MAX − c` —
 /// which is exactly a first-index scan with a strict `<` (`>`) over the
 /// nonzero usable counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -626,35 +658,35 @@ pub enum Selection {
 
 impl Selection {
     /// The selection key of a usable count: `count − 1` (wrapping) for
-    /// [`Selection::SmallestFirst`], `u32::MAX − count` for
+    /// [`Selection::SmallestFirst`], `u16::MAX − count` for
     /// [`Selection::LargestFirst`]. Both are monotone in the rule's
-    /// preference and map a zero count to `u32::MAX`, above every
+    /// preference and map a zero count to `u16::MAX`, above every
     /// nonzero count's key.
-    fn key(self, count: u32) -> u32 {
+    fn key(self, count: u16) -> u16 {
         match self {
             Selection::SmallestFirst => count.wrapping_sub(1),
-            Selection::LargestFirst => u32::MAX - count,
+            Selection::LargestFirst => u16::MAX - count,
         }
     }
 
-    /// [`Self::key`] with its top bit flipped, read as `i32`: the
-    /// same order under a signed compare, which SSE2 vectorizes directly
-    /// (an unsigned one needs extra sign flips per lane).
-    fn signed_key(self, count: u32) -> i32 {
-        (self.key(count) ^ (1 << 31)) as i32
+    /// [`Self::key`] with its top bit flipped, read as `i16`: the same
+    /// order under a signed compare, which SSE2 vectorizes directly
+    /// (`pminsw`; it has no unsigned 16-bit minimum).
+    fn signed_key(self, count: u16) -> i16 {
+        (self.key(count) ^ (1 << 15)) as i16
     }
 }
 
 /// Per-device usable counts `|D_i ∩ residual|` of a DTA greedy run, plus
 /// the minimum selection key of each [`SELECT_CHUNK`]-device chunk (kept
-/// in the signed form the fused pass computes).
+/// in the signed `i16` form the refresh computes).
 /// Seeded by [`HoldingsMatrix::greedy_counts`] and advanced one round at
 /// a time by [`HoldingsMatrix::subtract_and_select`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GreedyCounts {
     selection: Selection,
-    counts: Vec<u32>,
-    chunk_min: Vec<i32>,
+    counts: Vec<u16>,
+    chunk_min: Vec<i16>,
 }
 
 impl GreedyCounts {
@@ -663,7 +695,7 @@ impl GreedyCounts {
     /// it with that key. `None` when every count is zero.
     pub fn select(&self) -> Option<usize> {
         let (chunk, &min) = self.chunk_min.iter().enumerate().min_by_key(|&(_, &k)| k)?;
-        if min == i32::MAX {
+        if min == i16::MAX {
             return None;
         }
         let start = chunk * SELECT_CHUNK;
@@ -673,33 +705,31 @@ impl GreedyCounts {
             .position(|&c| self.selection.signed_key(c) == min)
             .map(|pos| start + pos)
     }
+
+    /// Recomputes every chunk minimum from the counts in one pass, with
+    /// the rule matched once outside the loop so each arm vectorizes.
+    fn refresh_minima(&mut self) {
+        match self.selection {
+            Selection::SmallestFirst => {
+                self.refresh_with(|c| Selection::SmallestFirst.signed_key(c))
+            }
+            Selection::LargestFirst => self.refresh_with(|c| Selection::LargestFirst.signed_key(c)),
+        }
+    }
+
+    #[inline(always)]
+    fn refresh_with(&mut self, signed_key: impl Fn(u16) -> i16) {
+        for (cs, m) in self.counts.chunks(SELECT_CHUNK).zip(&mut self.chunk_min) {
+            *m = cs.iter().fold(i16::MAX, |min, &c| min.min(signed_key(c)));
+        }
+    }
 }
 
-/// `counts[i] -= overlap(row[i])` for every device; with `minima`, also
-/// stores each chunk's minimum selection key after the update.
+/// `counts[d] -= overlap(hw)` for every `(d, hw)` entry of one list.
 #[inline(always)]
-fn subtract_pass(
-    counts: &mut [u32],
-    row: &[u64],
-    overlap: impl Fn(u64) -> u32,
-    minima: Option<(&mut [i32], Selection)>,
-) {
-    let Some((chunk_min, selection)) = minima else {
-        for (c, &hw) in counts.iter_mut().zip(row) {
-            *c -= overlap(hw);
-        }
-        return;
-    };
-    let chunks = counts
-        .chunks_mut(SELECT_CHUNK)
-        .zip(row.chunks(SELECT_CHUNK));
-    for ((cs, hs), m) in chunks.zip(chunk_min) {
-        let mut min = i32::MAX;
-        for (c, &hw) in cs.iter_mut().zip(hs) {
-            *c -= overlap(hw);
-            min = min.min(selection.signed_key(*c));
-        }
-        *m = min;
+fn subtract_list(counts: &mut [u16], devices: &[u32], words: &[u64], overlap: impl Fn(u64) -> u16) {
+    for (&d, &hw) in devices.iter().zip(words) {
+        counts[d as usize] -= overlap(hw);
     }
 }
 
@@ -936,7 +966,7 @@ mod tests {
             ItemSet::from_ids(130, ids(&[64, 65])),
         ];
         let u = DataUniverse::new(sizes, holdings.clone()).unwrap();
-        let matrix = HoldingsMatrix::build(&u);
+        let matrix = HoldingsMatrix::build(&u).unwrap();
         assert_eq!(matrix.num_devices(), 3);
         assert_eq!(matrix.words_per_set(), 3);
         let required = ItemSet::from_ids(130, ids(&[0, 64, 65, 128]));
@@ -962,14 +992,15 @@ mod tests {
     #[test]
     fn selection_keys_order_counts_and_park_zero_last() {
         for selection in [Selection::SmallestFirst, Selection::LargestFirst] {
-            assert_eq!(selection.key(0), u32::MAX);
+            assert_eq!(selection.key(0), u16::MAX);
+            assert!(selection.key(u16::MAX) < u16::MAX, "{selection:?}");
         }
         assert!(Selection::SmallestFirst.key(1) < Selection::SmallestFirst.key(2));
         assert!(Selection::LargestFirst.key(2) < Selection::LargestFirst.key(1));
-        assert!(Selection::LargestFirst.key(1) < u32::MAX);
+        assert!(Selection::LargestFirst.key(1) < u16::MAX);
         for selection in [Selection::SmallestFirst, Selection::LargestFirst] {
-            for count in [0, 1, 2, 63, 1 << 31, u32::MAX - 1, u32::MAX] {
-                let flipped = (selection.key(count) ^ (1 << 31)) as i32;
+            for count in [0, 1, 2, 63, 1 << 15, u16::MAX - 1, u16::MAX] {
+                let flipped = (selection.key(count) ^ (1 << 15)) as i16;
                 assert_eq!(
                     selection.signed_key(count),
                     flipped,
@@ -993,7 +1024,7 @@ mod tests {
             holdings[i] = ItemSet::from_ids(m, ids(&[2, 3, 4, 5, 6]));
         }
         let u = DataUniverse::new(vec![Bytes::new(1.0); m], holdings).unwrap();
-        let matrix = HoldingsMatrix::build(&u);
+        let matrix = HoldingsMatrix::build(&u).unwrap();
         let full = ItemSet::full(m);
         let smallest = matrix.greedy_counts(&full, Selection::SmallestFirst);
         assert_eq!(smallest.select(), Some(SELECT_CHUNK + 3));
@@ -1083,7 +1114,9 @@ mod tests {
     fn holdings_matrix_rejects_foreign_sets() {
         let sizes = vec![Bytes::new(1.0); 4];
         let u = DataUniverse::new(sizes, vec![ItemSet::full(4)]).unwrap();
-        HoldingsMatrix::build(&u).usable_counts(&ItemSet::new(130));
+        HoldingsMatrix::build(&u)
+            .unwrap()
+            .usable_counts(&ItemSet::new(130));
     }
 
     #[test]

@@ -56,6 +56,16 @@ fn figures_are_bit_identical_serial_vs_parallel() {
         cache::clear();
         let parallel = run(&opts).unwrap_or_else(|e| panic!("{id} (4 threads): {e}"));
         assert_bit_identical(&serial, &parallel);
+        if id == "scale" {
+            // The oracle property reaches ~1.5k devices; this pins both
+            // DTA greedy rules at the full 10⁵-device fleet.
+            let row = serial.to_csv().lines().nth(1).map(str::to_owned);
+            assert_eq!(
+                row.as_deref(),
+                Some("100000,100000,100000,2047,1881,8,163"),
+                "scale row"
+            );
+        }
     }
     par::set_threads(0);
 }

@@ -99,6 +99,16 @@ fn dsmec_rejects_flags_its_command_does_not_read() {
         (&["assign", "--quick"], "--quick"),
         (&["report", "--contention"], "--contention"),
         (&["metrics", "flight.jsonl", "--gate", "1.1"], "--gate"),
+        // The analyzers never record a trace, so `--trace` is not theirs.
+        (
+            &["trace", "gen-trace.json", "--trace", "again.json"],
+            "--trace",
+        ),
+        (
+            &["metrics", "flight.jsonl", "--trace", "again.json"],
+            "--trace",
+        ),
+        (&["top", "flight.jsonl", "--trace", "again.json"], "--trace"),
     ] {
         let (ok, stdout, stderr) = dsmec_in(&dir, args);
         assert!(!ok, "{args:?} must fail");
