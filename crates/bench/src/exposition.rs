@@ -456,12 +456,18 @@ fn respond(
     stream.flush()
 }
 
+/// Cap on a whole response read by [`http_get`]. A scrape is tens of
+/// KiB; a peer that keeps streaming past this is cut off with an error
+/// instead of growing the buffer without bound.
+const MAX_RESPONSE: u64 = 4 * 1024 * 1024;
+
 /// Minimal HTTP client for `dsmec top` and the tests: one `GET`, returns
-/// `(status, body)`.
+/// `(status, body)`. At most 4 MiB of response are read.
 ///
 /// # Errors
 ///
-/// Connection, I/O and malformed-response errors, stringified.
+/// Connection, I/O and malformed-response errors, stringified, and a
+/// response longer than 4 MiB.
 pub fn http_get(addr: &str, path: &str, timeout: Duration) -> Result<(u16, String), String> {
     let stream = TcpStream::connect(addr).map_err(|e| format!("metrics connect {addr}: {e}"))?;
     stream
@@ -476,10 +482,17 @@ pub fn http_get(addr: &str, path: &str, timeout: Duration) -> Result<(u16, Strin
         "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
     )
     .map_err(|e| format!("metrics request: {e}"))?;
-    let mut raw = String::new();
+    let mut raw = Vec::new();
     stream
-        .read_to_string(&mut raw)
+        .take(MAX_RESPONSE + 1)
+        .read_to_end(&mut raw)
         .map_err(|e| format!("metrics read: {e}"))?;
+    if raw.len() as u64 > MAX_RESPONSE {
+        return Err(format!(
+            "metrics response: longer than {MAX_RESPONSE} bytes"
+        ));
+    }
+    let raw = String::from_utf8(raw).map_err(|e| format!("metrics response: {e}"))?;
     let (head, body) = raw
         .split_once("\r\n\r\n")
         .ok_or_else(|| "metrics response: missing header terminator".to_string())?;
@@ -639,5 +652,32 @@ mod tests {
         let (status, _) = http_get(&addr, "/metrics", Duration::from_secs(2)).unwrap();
         assert_eq!(status, 200);
         server.shutdown();
+    }
+
+    /// A peer that answers with a valid head and then keeps streaming is
+    /// cut off at the response cap with an error, not buffered whole.
+    #[test]
+    fn endless_response_is_cut_off_at_the_cap() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            // Read the whole request first: closing with unread input
+            // would reset the connection under the client's reads.
+            let mut reader = BufReader::new(&stream);
+            let mut line = String::new();
+            while reader.read_line(&mut line).unwrap() > 0 && line != "\r\n" {
+                line.clear();
+            }
+            let _ = stream.write_all(b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n");
+            // Stream until the client hangs up past the cap (the write
+            // fails), with a backstop far beyond it; report which ended
+            // the stream.
+            let chunk = vec![b'x'; 64 * 1024];
+            (0..16 * MAX_RESPONSE / chunk.len() as u64).any(|_| stream.write_all(&chunk).is_err())
+        });
+        let err = http_get(&addr, "/metrics", Duration::from_secs(5)).unwrap_err();
+        assert!(err.contains("longer than"), "{err}");
+        assert!(peer.join().unwrap(), "the client read to the backstop");
     }
 }

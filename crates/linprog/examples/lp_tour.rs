@@ -1,6 +1,5 @@
 //! A tour of the LP substrate on its own: model a small problem, solve it
-//! with the revised simplex and the dense oracle, inspect duals,
-//! round-trip through MPS, presolve.
+//! with the revised simplex and the dense oracle, inspect duals.
 //!
 //! Run with:
 //!
@@ -8,8 +7,6 @@
 //! cargo run -p linprog --example lp_tour
 //! ```
 
-use linprog::mps::{parse_mps, write_mps};
-use linprog::presolve::presolve_and_solve;
 use linprog::simplex::solve_simplex;
 use linprog::{solve, ConstraintSense, LpProblem};
 
@@ -39,19 +36,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
         }
     }
-
-    // MPS round trip.
-    let text = write_mps(&lp, "PLAN");
-    println!("\nMPS form:\n{text}");
-    let parsed = parse_mps(&text)?;
-    let again = solve(&parsed)?;
-    assert!((again.objective - solve(&lp)?.objective).abs() < 1e-9);
-    println!("MPS round trip preserves the optimum ✓");
-
-    // Presolve shortcuts fixed variables.
-    let mut fixed = lp.clone();
-    fixed.set_bounds(0, 2.0, 2.0)?;
-    let pre = presolve_and_solve(&fixed)?;
-    println!("with x fixed at 2: objective {:.4}", -pre.objective);
     Ok(())
 }

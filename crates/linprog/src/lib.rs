@@ -53,8 +53,6 @@
 pub mod basis;
 pub mod error;
 pub mod matrix;
-pub mod mps;
-pub mod presolve;
 pub mod problem;
 pub mod revised;
 pub mod simplex;

@@ -258,6 +258,39 @@ impl LpProblem {
         }
         worst
     }
+
+    /// Solves a problem with no constraint rows, where only the bounds
+    /// bind: each variable rests at the bound its cost prefers (the lower
+    /// one when the cost is zero). A negative cost on an infinite upper
+    /// bound makes the problem [`LpStatus::Unbounded`]; that variable is
+    /// then reported at its lower bound. Both backends answer row-free
+    /// problems here, since their standard forms need at least one row.
+    pub(crate) fn solve_row_free(&self) -> LpSolution {
+        debug_assert!(self.constraints.is_empty());
+        let mut status = LpStatus::Optimal;
+        let x: Vec<f64> = self
+            .objective
+            .iter()
+            .zip(&self.bounds)
+            .map(|(&c, b)| {
+                if c >= 0.0 {
+                    b.lower
+                } else if b.upper.is_finite() {
+                    b.upper
+                } else {
+                    status = LpStatus::Unbounded;
+                    b.lower
+                }
+            })
+            .collect();
+        LpSolution {
+            status,
+            objective: self.objective_value(&x),
+            x,
+            iterations: 0,
+            duals: (status == LpStatus::Optimal).then(Vec::new),
+        }
+    }
 }
 
 /// Status of a solve attempt.
@@ -299,8 +332,9 @@ pub struct LpSolution {
     /// Dual values (shadow prices) per constraint row, when the backend
     /// produced them at optimality: `duals[i] ≈ ∂objective/∂rhs_i`. For a
     /// minimization, a binding `≤` capacity row has a nonpositive dual
-    /// (more capacity cannot increase the optimum). `None` when the
-    /// backend did not derive duals (e.g. after presolve rewrote rows).
+    /// (more capacity cannot increase the optimum). `None` unless the
+    /// solve ended optimal (infeasible, unbounded or iteration-limited
+    /// solves have no duals); a problem with no rows has an empty list.
     pub duals: Option<Vec<f64>>,
 }
 

@@ -108,7 +108,7 @@ pub struct SolveOutcome {
     pub solution: LpSolution,
     /// The final basis, when one exists over the real columns (absent
     /// when an artificial variable remained basic, e.g. on infeasible
-    /// problems).
+    /// problems, and for a problem with no rows).
     pub basis: Option<Basis>,
     /// Index into the offered candidates of the one the solve adopted
     /// (phase 1 skipped); `None` when none was offered or every one was
@@ -144,18 +144,20 @@ pub fn solve_revised(lp: &LpProblem) -> Result<LpSolution, LpError> {
 ///
 /// Returns [`LpError::NumericalFailure`] when basis factorization fails
 /// irrecoverably (warm-start rejection is *not* an error — it falls back
-/// to the next candidate or a cold start).
+/// to the next candidate or a cold start). A problem with no constraint
+/// rows is answered from its bounds without a simplex run, and returns
+/// no basis.
 pub fn solve_revised_from(lp: &LpProblem, warm: &[&Basis]) -> Result<SolveOutcome, LpError> {
     let _timer = mec_obs::span("linprog/revised/solve");
-    let started = std::time::Instant::now();
-    if mec_obs::enabled() {
-        let blocks = crate::presolve::detect_blocks(lp, 3);
-        mec_obs::counter_add("linprog/presolve/blocks", blocks.blocks.len() as u64);
-        mec_obs::counter_add(
-            "linprog/presolve/coupling_rows",
-            blocks.coupling_rows.len() as u64,
-        );
+    if lp.num_constraints() == 0 {
+        return Ok(SolveOutcome {
+            solution: lp.solve_row_free(),
+            basis: None,
+            adopted: None,
+            warm_rejection: None,
+        });
     }
+    let started = std::time::Instant::now();
     let sf = SparseStandardForm::from_problem(lp);
     let mut state = RevisedState::new(&sf);
     let mut adopted = None;

@@ -32,7 +32,8 @@ enum VarState {
 ///
 /// Returns [`LpError::NumericalFailure`] when basis refactorization fails
 /// irrecoverably. Infeasibility and unboundedness are reported through the
-/// returned [`LpSolution::status`], not as errors.
+/// returned [`LpSolution::status`], not as errors. A problem with no
+/// constraint rows is answered from its bounds without a simplex run.
 ///
 /// # Examples
 ///
@@ -52,6 +53,9 @@ enum VarState {
 /// ```
 pub fn solve_simplex(lp: &LpProblem) -> Result<LpSolution, LpError> {
     let _timer = mec_obs::span("linprog/simplex/solve");
+    if lp.num_constraints() == 0 {
+        return Ok(lp.solve_row_free());
+    }
     let sf = StandardForm::from_problem(lp);
     let mut state = SimplexState::new(&sf);
     let sol = state.run(&sf)?;

@@ -152,8 +152,8 @@ impl SparseStandardForm {
     ///
     /// # Panics
     ///
-    /// Panics if the problem has no constraints (callers run presolve or
-    /// add a vacuous row first, matching the dense path).
+    /// Panics if the problem has no constraints; the solvers answer such
+    /// problems from the bounds alone and never build a form for them.
     #[must_use]
     pub fn from_problem(lp: &LpProblem) -> SparseStandardForm {
         let m = lp.num_constraints();

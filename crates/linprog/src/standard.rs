@@ -41,8 +41,8 @@ impl StandardForm {
     ///
     /// # Panics
     ///
-    /// Panics if the problem has no constraints (the solvers need at least
-    /// one row; add a redundant one if necessary).
+    /// Panics if the problem has no constraints; the solvers answer such
+    /// problems from the bounds alone and never build a form for them.
     pub fn from_problem(lp: &LpProblem) -> StandardForm {
         let n = lp.num_vars();
         let m = lp.num_constraints();
