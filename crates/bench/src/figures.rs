@@ -4,20 +4,16 @@
 //! `cargo run -p mec-bench --bin repro --release` regenerates the entire
 //! evaluation as text tables and CSV files.
 //!
-//! Every sweep fans out through one of two engines: figures whose points
-//! share no state use [`sweep_seed_averaged`], the flat (point × seed)
-//! fan-out; LP-heavy figures use [`sweep_seed_averaged_chained`], which
-//! fans out over seeds and walks each seed's points serially so adjacent
-//! points warm-start the revised simplex from the previous point's bases.
-//! Per-(point, seed) scenario construction is served by [`crate::cache`];
-//! both engines keep the output bit-identical to a serial evaluation.
+//! Every sweep fans out through one engine, [`sweep_seed_averaged`]: the
+//! flat (point × seed) fan-out, in which each evaluation is an independent
+//! instance solved from scratch, as the paper's Step 1 solves P2 for the
+//! instance in hand. Per-(point, seed) scenario construction is served by
+//! [`crate::cache`]; the engine keeps the output bit-identical to a serial
+//! evaluation.
 
 use crate::cache;
 use crate::par::par_map_result;
-use crate::runner::{
-    eval_algos_warm, paper_comparators, sweep_seed_averaged, sweep_seed_averaged_chained, Algo,
-    WarmChain,
-};
+use crate::runner::{eval_algos, paper_comparators, sweep_seed_averaged, Algo};
 use crate::table::Figure;
 use dsmec_core::dta::{
     divide_balanced, divide_min_devices, divisible_as_holistic, dta_device_shares, exact_min_max,
@@ -27,7 +23,7 @@ use dsmec_core::error::AssignError;
 use dsmec_core::hta::relaxation::build_cluster_relaxation;
 use dsmec_core::hta::{
     cluster_task_indices, partial_offload_plan, ExactBnB, HtaAlgorithm, LpHta, NashOffload,
-    OnlineHta, OnlinePolicy, RoundingRule, WarmBases,
+    OnlineHta, OnlinePolicy, RoundingRule,
 };
 use dsmec_core::metrics::evaluate_assignment;
 use linprog::{simplex, LpError, LpProblem, LpSolution};
@@ -100,40 +96,28 @@ fn divisible_cfg(seed: u64, tasks: usize, max_kb: f64) -> DivisibleScenarioConfi
 }
 
 /// Sweeps task counts for the four Fig. 2–4 algorithms and extracts one
-/// metric. Chained: each seed's points run serially so LP-HTA can try to
-/// warm-start from the previous point's bases (task-count sweeps change
-/// the LP dimensions between points, so most attempts fall back to a cold
-/// solve — the chain is still correct, just rarely a hit).
+/// metric.
 fn sweep_tasks(
     opts: &ExperimentOptions,
     max_kb: f64,
     algos: &[Algo],
     extract: impl Fn(&dsmec_core::metrics::Metrics) -> f64 + Sync,
 ) -> Result<Vec<Vec<f64>>, AssignError> {
-    let points = opts.task_sweep();
-    sweep_seed_averaged_chained(
-        &points,
-        &opts.seeds,
-        |&tasks, seed, chain: &mut WarmChain| {
-            eval_algos_warm(&holistic_cfg(tasks, max_kb), seed, algos, chain, &extract)
-        },
-    )
+    sweep_seed_averaged(&opts.task_sweep(), &opts.seeds, |&tasks, seed| {
+        eval_algos(&holistic_cfg(tasks, max_kb), seed, algos, &extract)
+    })
 }
 
-/// Sweeps input sizes at a fixed task count. Chained: the LP shape is
-/// constant across the size sweep, so adjacent points warm-start.
+/// Sweeps input sizes at a fixed task count.
 fn sweep_sizes(
     opts: &ExperimentOptions,
     tasks: usize,
     algos: &[Algo],
     extract: impl Fn(&dsmec_core::metrics::Metrics) -> f64 + Sync,
 ) -> Result<Vec<Vec<f64>>, AssignError> {
-    let points = opts.size_sweep();
-    let rows = sweep_seed_averaged_chained(&points, &opts.seeds, |&kb, seed, chain| {
-        eval_algos_warm(&holistic_cfg(100, kb), seed, algos, chain, &extract)
-    });
-    let _ = tasks;
-    rows
+    sweep_seed_averaged(&opts.size_sweep(), &opts.seeds, |&kb, seed| {
+        eval_algos(&holistic_cfg(tasks, kb), seed, algos, &extract)
+    })
 }
 
 fn assemble(
@@ -195,10 +179,10 @@ pub fn fig3(opts: &ExperimentOptions) -> FigResult {
     ];
     // Tighter deadlines than the default so obliviousness is visible.
     let points = opts.task_sweep();
-    let rows = sweep_seed_averaged_chained(&points, &opts.seeds, |&tasks, seed, chain| {
+    let rows = sweep_seed_averaged(&points, &opts.seeds, |&tasks, seed| {
         let mut cfg = holistic_cfg(tasks, 3000.0);
         cfg.deadline_factor_range = (1.0, 2.0);
-        eval_algos_warm(&cfg, seed, &algos, chain, |m| m.unsatisfied_rate)
+        eval_algos(&cfg, seed, &algos, |m| m.unsatisfied_rate)
     })?;
     Ok(assemble(
         "fig3",
@@ -764,19 +748,10 @@ pub fn ext_mobility(opts: &ExperimentOptions) -> FigResult {
         let stale = LpHta::paper().assign(&dynamic.epochs[0], &dynamic.tasks, &costs0)?;
         let epochs = dynamic.epochs.len() as f64;
         let mut acc = vec![0.0; 4];
-        // Epochs are adjacent instances of the same shape: chain the
-        // revised simplex's bases so each re-plan warm-starts from the
-        // previous epoch's optimum.
-        let mut warm = WarmBases::new();
         for (e, system) in dynamic.epochs.iter().enumerate() {
             let costs = crate::pricing::build_cost_table(system, &dynamic.tasks)?;
             let stale_m = evaluate_assignment(&dynamic.tasks, &costs, &stale)?;
-            let (fresh, _) = LpHta::paper().assign_with_report_warm(
-                system,
-                &dynamic.tasks,
-                &costs,
-                &mut warm,
-            )?;
+            let fresh = LpHta::paper().assign(system, &dynamic.tasks, &costs)?;
             let fresh_m = evaluate_assignment(&dynamic.tasks, &costs, &fresh)?;
             acc[0] += fresh_m.total_energy.value() / epochs;
             acc[1] += (stale_m.total_energy.value() - fresh_m.total_energy.value()) / epochs;
@@ -869,15 +844,13 @@ pub fn ext_partial(opts: &ExperimentOptions) -> FigResult {
         vec![(1.0, 1.1), (1.0, 1.3), (1.0, 1.6), (1.0, 2.0), (1.0, 3.0)]
     };
     let tasks = if opts.quick { 50 } else { 120 };
-    // Chained over the deadline sweep: the LP shape is constant, so each
-    // seed's successive points warm-start LP-HTA's relaxations.
-    let rows = sweep_seed_averaged_chained(&factors, &opts.seeds, |&(lo, hi), seed, warm| {
+    let rows = sweep_seed_averaged(&factors, &opts.seeds, |&(lo, hi), seed| {
         let mut cfg = holistic_cfg(tasks, 3000.0);
         cfg.seed = seed;
         cfg.deadline_factor_range = (lo, hi);
         let cached = cache::scenario_with_costs(&cfg)?;
         let (s, costs) = (&cached.scenario, &cached.costs);
-        let (a, _) = LpHta::paper().assign_with_report_warm(&s.system, &s.tasks, costs, warm)?;
+        let a = LpHta::paper().assign(&s.system, &s.tasks, costs)?;
         let binary = evaluate_assignment(&s.tasks, costs, &a)?;
         let plan = partial_offload_plan(&s.system, &s.tasks)?;
         Ok(vec![

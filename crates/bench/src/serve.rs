@@ -315,6 +315,15 @@ pub fn render_serve_report(report: &ServeReport) -> String {
     out
 }
 
+/// `hits / attempts`, or 0 when no basis was offered.
+fn hit_rate(hits: usize, attempts: usize) -> f64 {
+    if attempts == 0 {
+        0.0
+    } else {
+        hits as f64 / attempts as f64
+    }
+}
+
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
@@ -512,14 +521,8 @@ pub fn serve_with_hook(
         let mut warm_rejections = 0usize;
         for ((station, _), solved) in shards.iter().zip(solves) {
             let Some(cs) = solved else { continue };
-            if warm.basis(*station).is_some() {
-                warm_attempts += 1;
-                warm.attempts += 1;
-            }
-            if cs.warm_used {
-                warm_hits += 1;
-                warm.hits += 1;
-            }
+            warm_attempts += usize::from(warm.basis(*station).is_some());
+            warm_hits += usize::from(cs.warm_used);
             if cs.warm_rejected {
                 warm_rejections += 1;
                 mec_obs::counter_add("serve/warm_rejections", 1);
@@ -609,11 +612,7 @@ pub fn serve_with_hook(
             );
             mec_obs::gauge_set(
                 "serve/slo/warm_hit_rate",
-                if warm_attempts == 0 {
-                    0.0
-                } else {
-                    warm_hits as f64 / warm_attempts as f64
-                },
+                hit_rate(warm_hits, warm_attempts),
             );
             mec_obs::gauge_set("serve/slo/repair_ms", repair_ms);
             mec_obs::gauge_set("serve/slo/cloud_migrations", cloud_migrations as f64);
@@ -644,10 +643,14 @@ pub fn serve_with_hook(
 
     let arrived_total: usize = epochs.iter().map(|e| e.arrived).sum();
     let assigned_total: usize = epochs.iter().map(|e| e.assigned).sum();
-    let steady: (usize, usize) = epochs
-        .iter()
-        .skip(1)
-        .fold((0, 0), |(h, a), e| (h + e.warm_hits, a + e.warm_attempts));
+    let warm_totals = |skip: usize| {
+        epochs
+            .iter()
+            .skip(skip)
+            .fold((0, 0), |(h, a), e| (h + e.warm_hits, a + e.warm_attempts))
+    };
+    let (warm_hits, warm_attempts) = warm_totals(0);
+    let (steady_hits, steady_attempts) = warm_totals(1);
     let elapsed_secs = decision_ns_total as f64 / 1e9;
     Ok(ServeReport {
         seed: config.seed,
@@ -658,14 +661,10 @@ pub fn serve_with_hook(
         cancelled_total: arrived_total - assigned_total,
         resourced_total: epochs.iter().map(|e| e.resourced).sum(),
         cloud_migrations_total: epochs.iter().map(|e| e.cloud_migrations).sum(),
-        warm_attempts: warm.attempts,
-        warm_hits: warm.hits,
-        warm_hit_rate: warm.hit_rate(),
-        steady_warm_hit_rate: if steady.1 == 0 {
-            0.0
-        } else {
-            steady.0 as f64 / steady.1 as f64
-        },
+        warm_attempts: warm_attempts as u64,
+        warm_hits: warm_hits as u64,
+        warm_hit_rate: hit_rate(warm_hits, warm_attempts),
+        steady_warm_hit_rate: hit_rate(steady_hits, steady_attempts),
         decision_p50_ms: percentile(&latencies_ms, 50.0),
         decision_p95_ms: percentile(&latencies_ms, 95.0),
         assignments_per_sec: if elapsed_secs > 0.0 {

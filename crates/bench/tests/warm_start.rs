@@ -1,15 +1,12 @@
-//! Warm-start correctness across a full figure sweep: chaining point
-//! k+1's relaxation from point k's basis must reproduce the cold
-//! objective at every point, and the chained sweep engine must produce
-//! bit-identical figures under 1 and 4 worker threads (each seed's chain
-//! always runs serially on a single worker). The same holds across a
-//! churned serve session, where most chained bases no longer fit and the
-//! solves start from the cluster's greedy basis instead.
+//! Warm-start correctness of the chain the serve loop runs: chaining
+//! point k+1's cluster solves from point k's bases through
+//! `LpHta::solve_cluster` must reproduce the cold objective at every
+//! point. The same holds across a churned serve session, where most
+//! chained bases no longer fit and the solves start from the cluster's
+//! greedy basis instead.
 
 use dsmec_core::costs::CostTable;
 use dsmec_core::hta::{cluster_task_indices, LpHta, WarmBases};
-use mec_bench::par::set_threads;
-use mec_bench::runner::{eval_algos_warm, sweep_seed_averaged_chained, Algo, WarmChain};
 use mec_sim::sim::{ChaosConfig, Fault};
 use mec_sim::stream::StreamConfig;
 use mec_sim::units::{Bytes, Seconds};
@@ -27,56 +24,46 @@ fn sweep_cfg(kb: f64, seed: u64) -> ScenarioConfig {
     cfg
 }
 
-fn warm_figure_rows() -> Vec<Vec<f64>> {
-    let algos = [Algo::LpHta(LpHta::paper().without_fast_path())];
-    sweep_seed_averaged_chained(&POINTS, &SEEDS, |&kb, seed, chain: &mut WarmChain| {
-        eval_algos_warm(&sweep_cfg(kb, seed), seed, &algos, chain, |m| {
-            m.total_energy.value()
-        })
-    })
-    .unwrap()
-}
-
 #[test]
-fn warm_chains_match_cold_objectives_across_a_sweep_at_any_thread_count() {
-    // Point k+1 from point k's basis: same LP objective as a cold solve,
+fn warm_chains_match_cold_objectives_across_a_sweep() {
+    // Point k+1 from point k's bases: same LP objective as a cold solve,
     // at every point of the sweep, for every seed.
     let algo = LpHta::paper().without_fast_path();
     for &seed in &SEEDS {
         let mut warm = WarmBases::new();
+        let (mut attempts, mut hits) = (0u32, 0u32);
         for &kb in &POINTS {
-            let cfg = sweep_cfg(kb, seed);
-            let s = cfg.generate().unwrap();
+            let s = sweep_cfg(kb, seed).generate().unwrap();
             let costs = CostTable::build(&s.system, &s.tasks).unwrap();
             let cold = algo.solve_relaxation(&s.system, &s.tasks, &costs).unwrap();
-            let chained = algo
-                .solve_relaxation_warm(&s.system, &s.tasks, &costs, &mut warm)
-                .unwrap();
+            let mut chained = 0.0;
+            for (station, idxs) in cluster_task_indices(&s.system, &s.tasks).unwrap() {
+                let prev = warm.basis(station);
+                attempts += u32::from(prev.is_some());
+                let cs = algo
+                    .solve_cluster(&s.system, &s.tasks, &costs, station, &idxs, prev)
+                    .unwrap()
+                    .expect("every cluster has tasks");
+                hits += u32::from(cs.warm_used);
+                match cs.basis {
+                    Some(basis) => warm.store(station, basis),
+                    None => warm.clear(station),
+                }
+                chained += cs.objective;
+            }
             let scale = 1.0 + cold.lp_objective.abs();
             assert!(
-                (chained.lp_objective - cold.lp_objective).abs() < 1e-6 * scale,
-                "seed {seed}, {kb} kB: warm objective {} vs cold {}",
-                chained.lp_objective,
+                (chained - cold.lp_objective).abs() < 1e-6 * scale,
+                "seed {seed}, {kb} kB: warm objective {chained} vs cold {}",
                 cold.lp_objective
             );
         }
         assert!(
-            warm.attempts >= 1 && warm.hits >= 1,
+            attempts >= 1 && hits >= 1,
             "seed {seed}: constant-shape sweep should warm-start \
-             (attempts {}, hits {})",
-            warm.attempts,
-            warm.hits
+             (attempts {attempts}, hits {hits})"
         );
     }
-
-    // The engine's determinism contract: the same chained sweep, run with
-    // 1 and 4 worker threads, yields bit-identical figure rows.
-    set_threads(1);
-    let serial = warm_figure_rows();
-    set_threads(4);
-    let parallel = warm_figure_rows();
-    set_threads(0);
-    assert_eq!(serial, parallel);
 }
 
 /// The benchmark's `serve_churn` topology (20 stations × 20 devices,

@@ -96,25 +96,19 @@ pub struct FractionalSolution {
     pub lp_iterations: usize,
 }
 
-/// Per-station warm-start bases carried across adjacent LP-HTA solves.
+/// Per-station warm-start bases carried from one epoch's cluster solves
+/// to the next by the online serve loop.
 ///
-/// Cluster relaxations of nearby instances (adjacent sweep points, next
-/// mobility epoch) differ only in their data, so the previous point's
-/// optimal basis is usually still feasible and the solver can skip
-/// phase 1 entirely. When it is not — churn changed the cluster's shape,
-/// or the old vertex is infeasible for the new data — the solve falls
-/// back to the cluster's greedy basis before going cold (see
-/// [`LpHta::solve_cluster`]). Feed one `WarmBases` through a chain of
-/// [`LpHta::assign_with_report_warm`] calls; it records hit statistics
-/// as it goes.
+/// A station's cluster relaxation in the next epoch often keeps its
+/// shape, so the previous optimal basis can let the solver skip phase 1.
+/// When it cannot — churn changed the cluster's shape, or the old vertex
+/// is infeasible for the new data — the solve falls back to the cluster's
+/// greedy basis before going cold (see [`LpHta::solve_cluster`]). The
+/// caller offers [`Self::basis`] to each cluster solve and commits the
+/// returned basis with [`Self::store`] or [`Self::clear`].
 #[derive(Debug, Clone, Default)]
 pub struct WarmBases {
     bases: HashMap<StationId, Basis>,
-    /// Solves for which a stored basis existed and was offered.
-    pub attempts: u64,
-    /// Of those, the solves that started warm (phase 1 skipped), from
-    /// the stored basis or from the greedy fallback.
-    pub hits: u64,
 }
 
 impl WarmBases {
@@ -122,18 +116,6 @@ impl WarmBases {
     #[must_use]
     pub fn new() -> WarmBases {
         WarmBases::default()
-    }
-
-    /// Stations currently holding a reusable basis.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.bases.len()
-    }
-
-    /// True when no basis is stored yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.bases.is_empty()
     }
 
     /// The stored basis for `station`, if any. The serve loop reads this
@@ -152,17 +134,6 @@ impl WarmBases {
     /// without a real-column basis to chain.
     pub fn clear(&mut self, station: StationId) {
         self.bases.remove(&station);
-    }
-
-    /// Fraction of offered bases after which the solve started warm (0
-    /// when none were offered yet).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        if self.attempts == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.attempts as f64
-        }
     }
 }
 
@@ -354,40 +325,6 @@ impl LpHta {
         self.round_with(system, tasks, costs, &fractional)
     }
 
-    /// Like [`Self::assign_with_report`], but threads a [`WarmBases`]
-    /// chain through Step 1 so adjacent solves reuse each other's optimal
-    /// bases. With an empty chain this is behaviorally identical to the
-    /// cold entry point; warm hits may land on a different optimal vertex
-    /// of a degenerate relaxation, which changes nothing about the optimum
-    /// or the certificates.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::assign_with_report`].
-    pub fn assign_with_report_warm(
-        &self,
-        system: &MecSystem,
-        tasks: &[HolisticTask],
-        costs: &CostTable,
-        warm: &mut WarmBases,
-    ) -> Result<(Assignment, LpHtaReport), AssignError> {
-        if tasks.len() != costs.len() {
-            return Err(AssignError::LengthMismatch {
-                tasks: tasks.len(),
-                other: costs.len(),
-            });
-        }
-        let _timer = mec_obs::span("lp_hta/assign");
-        if self.fast_path {
-            if let Some(result) = self.try_fast_path(system, tasks, costs)? {
-                mec_obs::counter_add("lp_hta/fast_path/hits", 1);
-                return Ok(result);
-            }
-        }
-        let fractional = self.solve_relaxation_inner(system, tasks, costs, Some(warm))?;
-        self.round_with(system, tasks, costs, &fractional)
-    }
-
     /// Steps 1–2: solves every cluster's relaxed LP (or seeds oversized
     /// clusters greedily) and returns the fractional matrices. The result
     /// depends on `lp_cluster_limit` and the instance — not on
@@ -404,33 +341,6 @@ impl LpHta {
         tasks: &[HolisticTask],
         costs: &CostTable,
     ) -> Result<FractionalSolution, AssignError> {
-        self.solve_relaxation_inner(system, tasks, costs, None)
-    }
-
-    /// [`Self::solve_relaxation`] with a [`WarmBases`] chain: each
-    /// cluster's LP is warm-started from the basis its station produced
-    /// on the previous call, and the final bases are stored back.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::solve_relaxation`].
-    pub fn solve_relaxation_warm(
-        &self,
-        system: &MecSystem,
-        tasks: &[HolisticTask],
-        costs: &CostTable,
-        warm: &mut WarmBases,
-    ) -> Result<FractionalSolution, AssignError> {
-        self.solve_relaxation_inner(system, tasks, costs, Some(warm))
-    }
-
-    fn solve_relaxation_inner(
-        &self,
-        system: &MecSystem,
-        tasks: &[HolisticTask],
-        costs: &CostTable,
-        mut warm: Option<&mut WarmBases>,
-    ) -> Result<FractionalSolution, AssignError> {
         if tasks.len() != costs.len() {
             return Err(AssignError::LengthMismatch {
                 tasks: tasks.len(),
@@ -444,35 +354,9 @@ impl LpHta {
             lp_iterations: 0,
         };
         for (station, idxs) in cluster_task_indices(system, tasks)? {
-            // Offer the chain's basis; the immutable borrow must end
-            // before the store is updated below.
-            let (solved, attempted) = {
-                let prev = warm.as_ref().and_then(|store| store.bases.get(&station));
-                let attempted = prev.is_some();
-                (
-                    self.solve_cluster(system, tasks, costs, station, &idxs, prev)?,
-                    attempted,
-                )
+            let Some(cs) = self.solve_cluster(system, tasks, costs, station, &idxs, None)? else {
+                continue;
             };
-            let Some(cs) = solved else { continue };
-            if let Some(store) = &mut warm {
-                if attempted {
-                    store.attempts += 1;
-                    mec_obs::counter_add("lp_hta/relaxation/warm_attempts", 1);
-                }
-                if cs.warm_used {
-                    store.hits += 1;
-                    mec_obs::counter_add("lp_hta/relaxation/warm_hits", 1);
-                }
-                match cs.basis {
-                    Some(basis) => {
-                        store.bases.insert(station, basis);
-                    }
-                    None => {
-                        store.bases.remove(&station);
-                    }
-                }
-            }
             if mec_obs::enabled() {
                 let fractional_vars = cs
                     .fractions
@@ -1232,15 +1116,66 @@ mod tests {
         }
     }
 
+    /// Warm-chain tallies of one [`solve_chained`] call.
+    #[derive(Debug, Default)]
+    struct ChainStats {
+        /// Cluster solves offered a stored basis.
+        attempts: u64,
+        /// Solves that started warm (stored or greedy basis).
+        hits: u64,
+        /// Solves whose stored basis was structurally rejected.
+        rejected: u64,
+    }
+
+    /// Steps 1–2 the way the serve loop runs them: every cluster through
+    /// [`LpHta::solve_cluster`], offered its station's stored basis, with
+    /// the returned basis committed back to `warm`.
+    fn solve_chained(
+        algo: &LpHta,
+        system: &MecSystem,
+        tasks: &[HolisticTask],
+        costs: &CostTable,
+        warm: &mut WarmBases,
+        stats: &mut ChainStats,
+    ) -> FractionalSolution {
+        let mut fractional = FractionalSolution {
+            clusters: Vec::new(),
+            lp_objective: 0.0,
+            lp_iterations: 0,
+        };
+        for (station, idxs) in cluster_task_indices(system, tasks).unwrap() {
+            let prev = warm.basis(station);
+            stats.attempts += u64::from(prev.is_some());
+            let Some(cs) = algo
+                .solve_cluster(system, tasks, costs, station, &idxs, prev)
+                .unwrap()
+            else {
+                continue;
+            };
+            stats.hits += u64::from(cs.warm_used);
+            stats.rejected += u64::from(cs.warm_rejected);
+            match cs.basis {
+                Some(basis) => warm.store(station, basis),
+                None => warm.clear(station),
+            }
+            fractional.lp_objective += cs.objective;
+            fractional.lp_iterations += cs.iterations;
+            fractional.clusters.push(cs.fractions);
+        }
+        fractional
+    }
+
     #[test]
     fn warm_chain_matches_cold_solves_across_adjacent_instances() {
         // A miniature sweep: the same scenario under progressively tighter
         // deadlines (shape-preserving, data-perturbing — exactly what
-        // adjacent sweep points look like). The warm chain must reproduce
-        // every cold optimum and actually hit once the chain is primed.
+        // adjacent serve epochs of a stable population look like). The
+        // warm chain must reproduce every cold optimum and actually hit
+        // once the chain is primed.
         let s = ScenarioConfig::paper_defaults(13).generate().unwrap();
         let algo = LpHta::paper().without_fast_path();
         let mut warm = WarmBases::new();
+        let mut stats = ChainStats::default();
         for scale in [1.0, 1.0, 0.97, 0.94] {
             let mut tasks = s.tasks.clone();
             for t in &mut tasks {
@@ -1248,9 +1183,7 @@ mod tests {
             }
             let costs = CostTable::build(&s.system, &tasks).unwrap();
             let cold = algo.solve_relaxation(&s.system, &tasks, &costs).unwrap();
-            let chained = algo
-                .solve_relaxation_warm(&s.system, &tasks, &costs, &mut warm)
-                .unwrap();
+            let chained = solve_chained(&algo, &s.system, &tasks, &costs, &mut warm, &mut stats);
             let scale_tol = 1e-6 * (1.0 + cold.lp_objective.abs());
             assert!(
                 (chained.lp_objective - cold.lp_objective).abs() < scale_tol,
@@ -1259,12 +1192,11 @@ mod tests {
                 cold.lp_objective
             );
         }
-        assert!(!warm.is_empty(), "chain should retain bases");
-        assert!(warm.attempts >= 3, "attempts: {}", warm.attempts);
+        assert!(stats.attempts >= 3, "attempts: {}", stats.attempts);
         assert!(
-            warm.hits >= 1,
+            stats.hits >= 1,
             "re-solving an identical instance must accept the stored basis ({} attempts)",
-            warm.attempts
+            stats.attempts
         );
     }
 
@@ -1277,15 +1209,14 @@ mod tests {
         // and must keep hitting once the shape stabilises again.
         let algo = LpHta::paper().without_fast_path();
         let mut warm = WarmBases::new();
+        let mut stats = ChainStats::default();
         for tasks_total in [100usize, 100, 120, 120, 80, 80] {
             let mut cfg = ScenarioConfig::paper_defaults(16);
             cfg.tasks_total = tasks_total;
             let s = cfg.generate().unwrap();
             let costs = CostTable::build(&s.system, &s.tasks).unwrap();
             let cold = algo.solve_relaxation(&s.system, &s.tasks, &costs).unwrap();
-            let chained = algo
-                .solve_relaxation_warm(&s.system, &s.tasks, &costs, &mut warm)
-                .unwrap();
+            let chained = solve_chained(&algo, &s.system, &s.tasks, &costs, &mut warm, &mut stats);
             let scale_tol = 1e-6 * (1.0 + cold.lp_objective.abs());
             assert!(
                 (chained.lp_objective - cold.lp_objective).abs() < scale_tol,
@@ -1296,14 +1227,17 @@ mod tests {
         }
         // Shape-matched re-solves (epochs 2, 4, 6) must accept the stored
         // basis; the two resizes must decline rather than hit blindly.
-        assert!(warm.hits >= 1, "stable epochs should warm-hit");
+        assert!(stats.hits >= 1, "stable epochs should warm-hit");
         assert!(
-            warm.hits < warm.attempts,
-            "resized epochs must reject stale bases ({} hits / {} attempts)",
-            warm.hits,
-            warm.attempts
+            stats.rejected >= 1,
+            "resized epochs must reject stale bases"
         );
-        assert!(warm.hit_rate() > 0.0 && warm.hit_rate() < 1.0);
+        assert!(
+            stats.hits < stats.attempts,
+            "resized epochs must reject stale bases ({} hits / {} attempts)",
+            stats.hits,
+            stats.attempts
+        );
     }
 
     #[test]
@@ -1312,36 +1246,18 @@ mod tests {
         let costs = CostTable::build(&s.system, &s.tasks).unwrap();
         let algo = LpHta::paper().without_fast_path();
         let mut warm = WarmBases::new();
-        let (_, first) = algo
-            .assign_with_report_warm(&s.system, &s.tasks, &costs, &mut warm)
-            .unwrap();
-        let (a, second) = algo
-            .assign_with_report_warm(&s.system, &s.tasks, &costs, &mut warm)
-            .unwrap();
+        let mut stats = ChainStats::default();
+        let first = solve_chained(&algo, &s.system, &s.tasks, &costs, &mut warm, &mut stats);
+        let second = solve_chained(&algo, &s.system, &s.tasks, &costs, &mut warm, &mut stats);
+        assert!(stats.hits >= 1, "the re-solve must start warm");
         let tol = 1e-6 * (1.0 + first.lp_objective.abs());
         assert!((first.lp_objective - second.lp_objective).abs() < tol);
+        let (a, report) = algo
+            .round_with(&s.system, &s.tasks, &costs, &second)
+            .unwrap();
         let usage = capacity_usage(&s.system, &s.tasks, &a).unwrap();
         assert!(usage.within_limits(&s.system, Bytes::new(1e-6)));
-        assert!(second.final_energy <= second.lp_objective * second.ratio_bound + 1e-6);
-    }
-
-    #[test]
-    fn warm_entry_point_with_empty_chain_matches_cold_exactly() {
-        let s = ScenarioConfig::paper_defaults(15).generate().unwrap();
-        let costs = CostTable::build(&s.system, &s.tasks).unwrap();
-        let algo = LpHta::paper().without_fast_path();
-        let (a_cold, r_cold) = algo
-            .assign_with_report(&s.system, &s.tasks, &costs)
-            .unwrap();
-        let mut warm = WarmBases::new();
-        let (a_warm, r_warm) = algo
-            .assign_with_report_warm(&s.system, &s.tasks, &costs, &mut warm)
-            .unwrap();
-        // First use of a chain offers no basis, so the solve path is the
-        // cold one bit for bit.
-        assert_eq!(a_cold, a_warm);
-        assert_eq!(r_cold, r_warm);
-        assert_eq!(warm.hits, 0);
+        assert!(report.final_energy <= report.lp_objective * report.ratio_bound + 1e-6);
     }
 
     #[test]

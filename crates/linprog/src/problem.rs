@@ -209,11 +209,11 @@ impl LpProblem {
                 num_vars: self.num_vars,
             });
         }
-        if lower.is_nan() || upper.is_nan() || !lower.is_finite() && lower != f64::NEG_INFINITY {
-            return Err(LpError::InvalidNumber(lower));
-        }
         if !lower.is_finite() {
             return Err(LpError::InvalidNumber(lower));
+        }
+        if upper.is_nan() {
+            return Err(LpError::InvalidNumber(upper));
         }
         if lower > upper {
             return Err(LpError::InfeasibleBounds { var, lower, upper });
@@ -368,6 +368,27 @@ mod tests {
         assert!(lp.set_bounds(0, 2.0, 1.0).is_err());
         assert!(lp.set_bounds(0, f64::NEG_INFINITY, 1.0).is_err());
         assert!(lp.set_bounds(0, 0.0, f64::INFINITY).is_ok());
+    }
+
+    #[test]
+    fn set_bounds_reports_the_offending_value() {
+        let mut lp = LpProblem::new(1);
+        let bad = |r: Result<(), LpError>| match r {
+            Err(LpError::InvalidNumber(v)) => v,
+            other => panic!("expected InvalidNumber, got {other:?}"),
+        };
+        assert!(bad(lp.set_bounds(0, 0.0, f64::NAN)).is_nan());
+        assert!(bad(lp.set_bounds(0, f64::NAN, 1.0)).is_nan());
+        assert_eq!(
+            bad(lp.set_bounds(0, f64::NEG_INFINITY, 1.0)),
+            f64::NEG_INFINITY
+        );
+        assert_eq!(
+            bad(lp.set_bounds(0, f64::INFINITY, f64::INFINITY)),
+            f64::INFINITY
+        );
+        assert!(lp.set_bounds(0, 0.0, f64::INFINITY).is_ok());
+        assert_eq!(lp.bounds[0].upper, f64::INFINITY);
     }
 
     #[test]

@@ -452,8 +452,8 @@ impl RevisedState {
         // non-test `expect` this path used to carry).
         self.factor = BasisFactor::from_lu(lu);
         // Refactorization debt carries across the chain: `REFACTOR_EVERY`
-        // used to be a per-solve counter, so a chained sweep warm-starting
-        // hundreds of points never refactorized between solves. Starting
+        // used to be a per-solve counter, so a chain warm-starting
+        // hundreds of solves never refactorized between them. Starting
         // the countdown at the chain's cumulative pivot count forces a
         // scheduled refactorization as soon as the *cumulative* file
         // crosses the threshold.
