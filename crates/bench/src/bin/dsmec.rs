@@ -81,7 +81,7 @@ fn run() -> Result<(), String> {
     if command == "top" {
         return run_top(&flags, &positionals);
     }
-    // Tracing: --trace PATH or DSMEC_TRACE=PATH enables mec-obs and
+    // Tracing: --trace PATH enables mec-obs and
     // writes the snapshot after the command completes.
     let trace_path = mec_bench::cli::init_trace(flags.get("trace").map(String::as_str));
 
@@ -320,7 +320,7 @@ fn dispatch(
                 None
             };
             print!("{}", render_report(&file, sim.as_ref()));
-            // Fault injection: --chaos SEED or DSMEC_CHAOS=SEED replays
+            // Fault injection: --chaos SEED replays
             // the assignment under a seeded fault plan with repair.
             if command == "simulate" {
                 let chaos = mec_bench::cli::resolve_chaos(flags.get("chaos").map(String::as_str))?;
@@ -498,13 +498,7 @@ fn dispatch(
             eprintln!("               analyzers trace, metrics and top");
             eprintln!("environment:");
             eprintln!("  DSMEC_THREADS=N       worker threads when --threads is not given");
-            eprintln!("  DSMEC_TRACE=P         trace output path when --trace is not given");
             eprintln!("  DSMEC_TRACE_EVENTS=0  record aggregates only (no span events)");
-            eprintln!("  DSMEC_CHAOS=SEED      chaos seed when --chaos is not given");
-            eprintln!("  DSMEC_METRICS_ADDR=A  serve exposition bind when --metrics-addr");
-            eprintln!("                        is not given");
-            eprintln!("  DSMEC_METRICS_OUT=P   flight-log path when --metrics-out is not");
-            eprintln!("                        given");
             eprintln!("algorithms: lp-hta hgos all-to-c all-offload local-first nash random");
             Ok(())
         }

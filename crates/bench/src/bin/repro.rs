@@ -8,9 +8,8 @@
 //!   repro --threads N     worker threads (0 = auto; also DSMEC_THREADS)
 //!   repro --trace P       write an mec-obs trace (aggregates + flight-
 //!                         recorder span events, schema v2 in DESIGN.md §7,
-//!                         analyzable with `dsmec trace`); DSMEC_TRACE=P is
-//!                         the environment equivalent, DSMEC_TRACE_EVENTS=0
-//!                         records aggregates only
+//!                         analyzable with `dsmec trace`);
+//!                         DSMEC_TRACE_EVENTS=0 records aggregates only
 //!
 //! Every selected experiment runs once, from a cold cache. Outputs are
 //! bit-identical at any thread count (`tests/determinism.rs`); timings
@@ -125,9 +124,7 @@ fn main() -> ExitCode {
                 eprintln!("log land in DIR/CHAOS_report.json for replay");
                 eprintln!("environment:");
                 eprintln!("  DSMEC_THREADS=N       worker threads when --threads is not given");
-                eprintln!("  DSMEC_TRACE=P         trace output path when --trace is not given");
                 eprintln!("  DSMEC_TRACE_EVENTS=0  record aggregates only (no span events)");
-                eprintln!("  DSMEC_CHAOS=SEED      chaos seed when --chaos is not given");
                 eprintln!("experiments:");
                 for (id, _) in registry() {
                     eprintln!("  {id}");

@@ -113,10 +113,10 @@ pub fn apply_threads(spec: &str) -> Result<usize, String> {
     Ok(crate::par::threads())
 }
 
-/// Resolves the trace output path shared by both binaries — an explicit
-/// `--trace PATH` wins, otherwise the `DSMEC_TRACE` environment variable
-/// — and enables `mec-obs` recording when one is configured. Returns the
-/// path the caller should later pass to [`write_trace`].
+/// Resolves the trace output path shared by both binaries from
+/// `--trace PATH` (an empty path disables) and enables `mec-obs`
+/// recording when one is given. Returns the path the caller should later
+/// pass to [`write_trace`].
 ///
 /// Tracing to a file also switches on the flight recorder (per-span
 /// events, trace schema v2), which is what `dsmec trace` analyzes.
@@ -124,10 +124,7 @@ pub fn apply_threads(spec: &str) -> Result<usize, String> {
 /// e.g. for the committed `bench/baseline.json`; any other value (or
 /// unset) records events.
 pub fn init_trace(flag: Option<&str>) -> Option<String> {
-    let path = flag
-        .map(str::to_string)
-        .or_else(|| std::env::var("DSMEC_TRACE").ok())
-        .filter(|p| !p.is_empty());
+    let path = flag.filter(|p| !p.is_empty()).map(str::to_string);
     if path.is_some() {
         mec_obs::set_enabled(true);
         let events = std::env::var("DSMEC_TRACE_EVENTS").map_or(true, |v| v != "0");
@@ -238,19 +235,14 @@ pub fn simulate_assignment(
     Ok(simulate(&scenario.system, &exec, contention)?)
 }
 
-/// Resolves the chaos seed shared by both binaries: an explicit
-/// `--chaos SEED` wins, otherwise the `DSMEC_CHAOS` environment
-/// variable; `None` (no fault injection) when neither is set.
+/// Resolves the chaos seed shared by both binaries from `--chaos SEED`;
+/// `None` (no fault injection) when the flag is absent or empty.
 ///
 /// # Errors
 ///
 /// Returns a human-readable message when the seed is not a `u64`.
 pub fn resolve_chaos(flag: Option<&str>) -> Result<Option<u64>, String> {
-    let spec = flag
-        .map(str::to_string)
-        .or_else(|| std::env::var("DSMEC_CHAOS").ok())
-        .filter(|s| !s.is_empty());
-    match spec {
+    match flag.filter(|s| !s.is_empty()) {
         None => Ok(None),
         Some(s) => s
             .parse::<u64>()
@@ -504,8 +496,6 @@ mod tests {
 
     #[test]
     fn resolve_chaos_prefers_the_flag_and_validates() {
-        // The env fallback is covered by tests/chaos.rs (process-level),
-        // keeping this test free of env-var races.
         assert_eq!(resolve_chaos(Some("7")), Ok(Some(7)));
         assert!(resolve_chaos(Some("not-a-seed")).is_err());
     }

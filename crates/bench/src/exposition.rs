@@ -396,26 +396,30 @@ const MAX_DISCARD: u64 = 4 * 1024 * 1024;
 
 /// Reads one request, answers it, closes the connection. The hand-rolled
 /// parser reads the request line (`GET /metrics HTTP/1.1`), drains
-/// headers to the blank line, and ignores everything else. At most
-/// [`MAX_REQUEST_HEAD`] bytes are read; a head that does not end within
-/// them gets `431 Request Header Fields Too Large`.
+/// headers to the blank line, and ignores everything else. Lines are
+/// read as bytes, so a head that is not UTF-8 gets a `404` like any
+/// other unknown request. At most [`MAX_REQUEST_HEAD`] bytes are read; a
+/// head that does not end within them gets
+/// `431 Request Header Fields Too Large`.
 fn serve_connection(stream: TcpStream, body: &str) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
     let mut reader = BufReader::new((&stream).take(MAX_REQUEST_HEAD));
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    let mut parts = request_line.split_ascii_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
+    let mut request_line = Vec::new();
+    reader.read_until(b'\n', &mut request_line)?;
+    let mut parts = request_line
+        .split(u8::is_ascii_whitespace)
+        .filter(|part| !part.is_empty());
+    let method = parts.next().unwrap_or_default();
+    let path = parts.next().unwrap_or_default();
     // Drain headers so well-behaved clients see a clean close.
     let mut terminated = false;
-    let mut header = String::new();
+    let mut header = Vec::new();
     loop {
         header.clear();
-        if reader.read_line(&mut header)? == 0 {
+        if reader.read_until(b'\n', &mut header)? == 0 {
             break;
         }
-        if header.trim().is_empty() {
+        if header.iter().all(u8::is_ascii_whitespace) {
             terminated = true;
             break;
         }
@@ -433,7 +437,7 @@ fn serve_connection(stream: TcpStream, body: &str) -> std::io::Result<()> {
         let _ = std::io::copy(&mut (&stream).take(MAX_DISCARD), &mut std::io::sink());
         return Ok(());
     }
-    if method == "GET" && (path == "/metrics" || path.starts_with("/metrics?")) {
+    if method == b"GET" && (path == b"/metrics" || path.starts_with(b"/metrics?")) {
         respond(&stream, "200 OK", "text/plain; version=0.0.4", body)
     } else {
         respond(&stream, "404 Not Found", "text/plain", "not found\n")

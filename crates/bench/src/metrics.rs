@@ -28,30 +28,24 @@ use std::io::{BufWriter, Write as _};
 use std::net::SocketAddr;
 use std::time::Duration;
 
-/// Where the serve loop should emit telemetry, resolved from CLI flags
-/// with environment fallback (the same flag-wins rule as `--trace` /
-/// `DSMEC_TRACE`).
+/// Where the serve loop should emit telemetry, resolved from CLI flags.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetryOptions {
-    /// JSONL flight-log path (`--metrics-out` / `DSMEC_METRICS_OUT`).
+    /// JSONL flight-log path (`--metrics-out`).
     pub metrics_out: Option<String>,
-    /// Exposition bind address (`--metrics-addr` / `DSMEC_METRICS_ADDR`).
+    /// Exposition bind address (`--metrics-addr`).
     pub metrics_addr: Option<String>,
 }
 
 impl TelemetryOptions {
-    /// Resolves the options: an explicit flag wins, otherwise the
-    /// environment variable, otherwise off. Empty values disable.
+    /// Resolves the options from the flags; an absent or empty flag
+    /// leaves its sink off.
     #[must_use]
     pub fn resolve(out_flag: Option<&str>, addr_flag: Option<&str>) -> TelemetryOptions {
-        let pick = |flag: Option<&str>, var: &str| -> Option<String> {
-            flag.map(str::to_string)
-                .or_else(|| std::env::var(var).ok())
-                .filter(|v| !v.is_empty())
-        };
+        let pick = |flag: Option<&str>| flag.filter(|v| !v.is_empty()).map(str::to_string);
         TelemetryOptions {
-            metrics_out: pick(out_flag, "DSMEC_METRICS_OUT"),
-            metrics_addr: pick(addr_flag, "DSMEC_METRICS_ADDR"),
+            metrics_out: pick(out_flag),
+            metrics_addr: pick(addr_flag),
         }
     }
 
@@ -692,12 +686,11 @@ mod tests {
 
     #[test]
     fn telemetry_options_resolve_flag_over_env() {
-        // Flag wins; empty disables. (Env-var fallback is covered by the
-        // CLI integration tests to keep this test env-independent.)
+        // A flag sets its sink; empty or absent leaves it off.
         let opts = TelemetryOptions::resolve(Some("m.jsonl"), None);
         assert_eq!(opts.metrics_out.as_deref(), Some("m.jsonl"));
         assert!(opts.is_active());
         let off = TelemetryOptions::resolve(Some(""), None);
-        assert!(!off.is_active() || std::env::var("DSMEC_METRICS_ADDR").is_ok());
+        assert!(!off.is_active());
     }
 }

@@ -1,15 +1,13 @@
-//! Work-stealing parallel map primitives for the experiment sweeps.
+//! The work-stealing parallel map behind every fan-out in the workspace.
 //!
-//! Replaces the previous crossbeam-scope implementation (which funneled
-//! every result through a contended `Mutex<Vec<Option<R>>>` and poisoned
-//! the whole run on any worker panic) with:
+//! [`par_map_result`] runs one independent job per item and collects the
+//! results in input order:
 //!
 //! * lock-free result collection — each item writes its result exactly
 //!   once into its pre-allocated slot, no lock on the hot path;
-//! * [`par_map_result`] — `Result`-propagating variant that also converts
-//!   worker *panics* into a proper `Err` (via [`FromWorkerPanic`]) instead
-//!   of tearing down the process, and aborts remaining work after the
-//!   first failure.
+//! * failures are values — an `Err` from the job, or a worker *panic*
+//!   converted to [`AssignError::Worker`], aborts the remaining work and
+//!   is returned instead of tearing down the process.
 //!
 //! This is the workspace's one thread pool: the LP solver is serial, so
 //! [`set_threads`]/[`threads`] size every parallel region there is
@@ -24,10 +22,10 @@ use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Minimum projected *remaining* work (ns) before a map spawns worker
-/// threads. Both maps measure their first `min(2, len)` items on the
-/// calling thread and extrapolate from the **max** per-item time; below
+/// threads. The map measures its first `min(2, len)` items on the
+/// calling thread and extrapolates from the **max** per-item time; below
 /// this floor the spawn + join overhead (~tens of µs per thread) would
-/// dominate, so they finish serially instead. Keeps cheap sweeps —
+/// dominate, so it finishes serially instead. Keeps cheap sweeps —
 /// fig6b's division-only points most visibly — from paying for
 /// parallelism they cannot amortize. Probing two items (not one) matters
 /// for heterogeneous batches: the first item's time absorbs cache-miss
@@ -88,19 +86,6 @@ pub fn threads() -> usize {
     }
 }
 
-/// Converts a worker panic's message into the caller's error type, so
-/// [`par_map_result`] can surface panics as ordinary errors.
-pub trait FromWorkerPanic {
-    /// Builds the error for a worker that panicked with `message`.
-    fn from_worker_panic(message: String) -> Self;
-}
-
-impl FromWorkerPanic for AssignError {
-    fn from_worker_panic(message: String) -> Self {
-        AssignError::Worker(message)
-    }
-}
-
 /// One pre-allocated result slot per item; each slot is written exactly
 /// once, by whichever worker claimed that item's index.
 struct Slots<R>(Vec<UnsafeCell<Option<R>>>);
@@ -141,87 +126,24 @@ impl<R> Slots<R> {
 /// spawn/join overhead per point, while a cheap first item cannot mask an
 /// expensive tail.
 ///
-/// # Panics
-///
-/// A panicking `f` propagates to the caller once the scope joins (use
-/// [`par_map_result`] to receive failures as values instead).
-pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = threads().min(n);
-    if workers <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let slots = Slots::new(n);
-    // Probe: the first min(2, n) items on the calling thread, timed
-    // individually; project the tail from the slowest one so a cheap
-    // first item (or one whose cost hides in another item's lazy init)
-    // cannot keep an expensive batch serial.
-    let probes = PROBE_ITEMS.min(n);
-    let mut worst: u128 = 0;
-    for (i, item) in items.iter().enumerate().take(probes) {
-        let probe = Instant::now();
-        let r = f(item);
-        worst = worst.max(probe.elapsed().as_nanos());
-        // Safety: probe indices are not claimable (the shared counter
-        // starts at `probes`).
-        unsafe { slots.fill(i, r) };
-    }
-    let projected = worst.saturating_mul((n - probes) as u128);
-    let next = AtomicUsize::new(probes);
-    let work = || {
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                break;
-            }
-            let r = f(&items[i]);
-            // Safety: index `i` was claimed exclusively above.
-            unsafe { slots.fill(i, r) };
-        }
-        // Join-point flush: a scope's implicit join does not wait for TLS
-        // destructors, so the exit-flush backstop can land *after* the
-        // sweep snapshots its metrics. Flushing at the end of the worker
-        // closure (this also runs on the calling thread) makes everything
-        // recorded here visible once the scope returns.
-        mec_obs::flush_current_thread();
-    };
-    if projected < SPAWN_FLOOR_NS {
-        work();
-    } else {
-        #[cfg(test)]
-        SPAWNS.with(|n| n.set(n.get() + 1));
-        std::thread::scope(|scope| {
-            // The borrow is load-bearing: the same closure runs on N threads.
-            #[allow(clippy::needless_borrows_for_generic_args)]
-            for _ in 1..workers {
-                scope.spawn(&work);
-            }
-            work();
-        });
-    }
-    slots.drain()
-}
-
-/// Fallible parallel map preserving input order. The first failure —
-/// an `Err` from `f` or a worker panic (converted through
-/// [`FromWorkerPanic`]) — aborts the remaining work and is returned;
-/// among failures observed concurrently, the one with the smallest item
-/// index wins, so single-failure runs are deterministic.
+/// The first failure — an `Err` from `f` or a worker panic, converted to
+/// [`AssignError::Worker`] — stops new items from being claimed and is
+/// returned. Items are claimed in increasing index order and an abort
+/// only stops *new* claims, so every item before a failing one still
+/// runs to completion; keeping the failure with the smallest index
+/// therefore returns the first failure in input order, whatever the
+/// thread count.
 ///
 /// # Errors
 ///
-/// Returns the first failure as described above.
-pub fn par_map_result<T, R, E>(
+/// Returns the first failure in input order, as described above.
+pub fn par_map_result<T, R>(
     items: &[T],
-    f: impl Fn(&T) -> Result<R, E> + Sync,
-) -> Result<Vec<R>, E>
+    f: impl Fn(&T) -> Result<R, AssignError> + Sync,
+) -> Result<Vec<R>, AssignError>
 where
     T: Sync,
     R: Send,
-    E: Send + FromWorkerPanic,
 {
     let n = items.len();
     if n == 0 {
@@ -231,9 +153,9 @@ where
     let slots = Slots::new(n);
     let next = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
-    let failure: Mutex<Option<(usize, E)>> = Mutex::new(None);
+    let failure: Mutex<Option<(usize, AssignError)>> = Mutex::new(None);
 
-    let record = |i: usize, e: E| {
+    let record = |i: usize, e: AssignError| {
         let mut guard = lock_failure(&failure);
         match &*guard {
             Some((j, _)) if *j <= i => {}
@@ -249,7 +171,7 @@ where
             // `&*payload` reborrows the payload itself: `&payload`
             // would coerce the Box into `dyn Any` and make every
             // downcast miss.
-            Err(payload) => record(i, E::from_worker_panic(panic_message(&*payload))),
+            Err(payload) => record(i, AssignError::Worker(panic_message(&*payload))),
         }
     };
     let work = || {
@@ -263,8 +185,11 @@ where
             }
             run_item(i);
         }
-        // Join-point flush; see `par_map` for why this cannot rely on the
-        // thread-exit backstop.
+        // Join-point flush: a scope's implicit join does not wait for TLS
+        // destructors, so the exit-flush backstop can land *after* the
+        // sweep snapshots its metrics. Flushing at the end of the worker
+        // closure (this also runs on the calling thread) makes everything
+        // recorded here visible once the scope returns.
         mec_obs::flush_current_thread();
     };
     if workers <= 1 {
@@ -272,7 +197,9 @@ where
     } else {
         // Probe: the first min(2, n) items on the calling thread, timed
         // individually; spawn only when the tail projected from the
-        // slowest probe clears the floor (see `par_map`).
+        // slowest probe clears the floor, so a cheap first item (or one
+        // whose cost hides in another item's lazy init) cannot keep an
+        // expensive batch serial.
         let probes = PROBE_ITEMS.min(n);
         let mut worst: u128 = 0;
         for i in 0..probes {
@@ -327,25 +254,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn par_map_preserves_order() {
+    fn par_map_result_preserves_order() {
         let items: Vec<usize> = (0..257).collect();
-        let out = par_map(&items, |&i| i * 2);
+        let out = par_map_result(&items, |&i| Ok(i * 2)).unwrap();
         assert_eq!(out, items.iter().map(|i| i * 2).collect::<Vec<_>>());
         let empty: Vec<usize> = vec![];
-        assert!(par_map(&empty, |&i: &usize| i).is_empty());
+        assert!(par_map_result(&empty, |&i: &usize| Ok(i))
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
     fn par_map_result_collects_ok() {
         let items: Vec<usize> = (0..100).collect();
-        let out: Result<Vec<usize>, AssignError> = par_map_result(&items, |&i| Ok(i + 1));
+        let out = par_map_result(&items, |&i| Ok(i + 1));
         assert_eq!(out.unwrap(), (1..=100).collect::<Vec<_>>());
     }
 
     #[test]
     fn par_map_result_surfaces_first_error() {
         let items: Vec<usize> = (0..64).collect();
-        let out: Result<Vec<usize>, AssignError> = par_map_result(&items, |&i| {
+        let out = par_map_result(&items, |&i| {
             if i == 7 {
                 Err(AssignError::InvalidInput(format!("bad item {i}")))
             } else {
@@ -359,7 +288,7 @@ mod tests {
     #[test]
     fn par_map_result_converts_panics() {
         let items: Vec<usize> = (0..32).collect();
-        let out: Result<Vec<usize>, AssignError> = par_map_result(&items, |&i| {
+        let out = par_map_result(&items, |&i| {
             if i == 3 {
                 panic!("worker exploded on {i}");
             }
@@ -381,11 +310,11 @@ mod tests {
     }
 
     /// The join-point flush contract: metrics and flight-recorder events
-    /// staged on `par_map` workers are visible in a snapshot taken right
+    /// staged on `par_map_result` workers are visible in a snapshot taken right
     /// after the call returns, and worker `sweep/point`-style spans link
     /// to the coordinating thread's span via the explicit parent id.
     #[test]
-    fn par_map_flushes_worker_metrics_at_the_join_point() {
+    fn par_map_result_flushes_worker_metrics_at_the_join_point() {
         let _t = THREADS_TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         let _o = mec_obs::TEST_LOCK
             .lock()
@@ -400,11 +329,12 @@ mod tests {
         let items: Vec<usize> = (0..16).collect();
         // Each point outlasts the spawn floor so workers really spawn and
         // the join-point flush (not serial fallback) is what's under test.
-        let out = par_map(&items, |&i| {
+        let out = par_map_result(&items, |&i| {
             let _g = mec_obs::span_with_parent("par_test/point", parent);
             busy_wait(60);
-            i * 3
-        });
+            Ok(i * 3)
+        })
+        .unwrap();
         sweep.finish();
         let snap = mec_obs::snapshot();
 
@@ -435,7 +365,7 @@ mod tests {
         assert!(snap.counter("obs/flush").unwrap_or(0) >= 1);
     }
 
-    /// Below the spawn floor both maps finish on the calling thread: no
+    /// Below the spawn floor the map finishes on the calling thread: no
     /// worker threads appear even with a multi-thread setting.
     #[test]
     fn cheap_maps_stay_on_the_calling_thread() {
@@ -443,12 +373,9 @@ mod tests {
         set_threads(4);
         let main_id = std::thread::current().id();
         let items: Vec<usize> = (0..8).collect();
-        let ids = par_map(&items, |_| std::thread::current().id());
-        let ids_r: Result<Vec<_>, AssignError> =
-            par_map_result(&items, |_| Ok(std::thread::current().id()));
+        let ids = par_map_result(&items, |_| Ok(std::thread::current().id()));
         set_threads(0);
-        assert!(ids.iter().all(|id| *id == main_id));
-        assert!(ids_r.unwrap().iter().all(|id| *id == main_id));
+        assert!(ids.unwrap().iter().all(|id| *id == main_id));
     }
 
     /// A cheap first item must not keep a heterogeneous batch serial: the
@@ -471,19 +398,15 @@ mod tests {
             i
         };
         let before = spawns();
-        let out = par_map(&items, heavy_tail);
-        let after_map = spawns();
-        let out_r: Result<Vec<_>, AssignError> = par_map_result(&items, |i| Ok(heavy_tail(i)));
-        let after_result = spawns();
+        let out = par_map_result(&items, |i| Ok(heavy_tail(i)));
+        let after = spawns();
         set_threads(0);
-        assert_eq!(out, items);
-        assert_eq!(out_r.unwrap(), items);
+        assert_eq!(out.unwrap(), items);
         assert_eq!(
-            after_map,
+            after,
             before + 1,
             "expensive tail behind a cheap probe item must spawn workers"
         );
-        assert_eq!(after_result, after_map + 1);
     }
 
     #[test]
@@ -497,7 +420,7 @@ mod tests {
     }
 
     /// The thread count lives here, not in `linprog`: a batch of LP solves
-    /// fanned out with `par_map` leaves the setting intact, and its results
+    /// fanned out with `par_map_result` leaves the setting intact, and its results
     /// are bit-identical for any thread count.
     #[test]
     fn thread_setting_round_trips_through_linprog() {
@@ -505,7 +428,7 @@ mod tests {
         let _guard = THREADS_TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         let caps: Vec<f64> = (1..=8).map(|k| k as f64 * 0.75).collect();
         let solve_all = || {
-            par_map(&caps, |&cap| {
+            par_map_result(&caps, |&cap| {
                 // minimize -x - 2y  subject to  x + y <= cap,  0 <= x,y <= 3
                 let mut lp = LpProblem::new(2);
                 lp.set_objective(vec![-1.0, -2.0]).unwrap();
@@ -515,11 +438,12 @@ mod tests {
                 lp.set_bounds(1, 0.0, 3.0).unwrap();
                 let sol = linprog::solve(&lp).unwrap();
                 assert!(sol.is_optimal());
-                (
+                Ok((
                     sol.objective.to_bits(),
                     sol.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                )
+                ))
             })
+            .unwrap()
         };
         set_threads(2);
         assert_eq!(threads(), 2);

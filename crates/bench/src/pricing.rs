@@ -3,14 +3,15 @@
 //! [`dsmec_core::costs::CostTable::build`] prices tasks serially through
 //! [`mec_sim::cost::evaluate`]; this module splits the tasks into fixed
 //! [`CHUNK_TASKS`]-sized ranges, prices each range with the same
-//! [`CostMatrix::build`] under [`crate::par::par_map`], and concatenates
-//! the chunk matrices back in task order.
+//! [`CostMatrix::build`] under [`crate::par::par_map_result`], and
+//! concatenates the chunk matrices back in task order.
 //!
-//! Errors stay deterministic: every chunk runs to its own first error,
-//! and the chunks are inspected in task order, so the first failing
-//! chunk's error — the first error in task order — is returned whatever
-//! the thread count. (`par_map_result` aborts early and could report a
-//! *later* failure first.)
+//! Errors stay deterministic: each chunk stops at its own first error,
+//! and `par_map_result` returns the failing chunk with the smallest
+//! index (chunks are claimed in increasing order and an abort only stops
+//! new claims), so the first error in task order is returned whatever
+//! the thread count. A panic while pricing comes back as
+//! [`AssignError::Worker`] instead of unwinding.
 //!
 //! Bit-identity with the serial build holds by construction: both paths
 //! price each task through the same `evaluate`, and fixed chunk
@@ -33,7 +34,8 @@ pub const CHUNK_TASKS: usize = 8192;
 ///
 /// # Errors
 ///
-/// Exactly the serial build's errors, first task first.
+/// Exactly the serial build's errors, first task first, plus
+/// [`AssignError::Worker`] when pricing panics.
 pub fn build_cost_table(
     system: &MecSystem,
     tasks: &[HolisticTask],
@@ -43,12 +45,12 @@ pub fn build_cost_table(
         .step_by(CHUNK_TASKS)
         .map(|lo| (lo, (lo + CHUNK_TASKS).min(tasks.len())))
         .collect();
-    let chunks = crate::par::par_map(&bounds, |&(lo, hi)| {
-        CostMatrix::build(system, &tasks[lo..hi])
-    });
+    let chunks = crate::par::par_map_result(&bounds, |&(lo, hi)| {
+        CostMatrix::build(system, &tasks[lo..hi]).map_err(AssignError::Mec)
+    })?;
     let mut matrix = CostMatrix::with_capacity(tasks.len());
-    for chunk in chunks {
-        matrix.append(&mut chunk.map_err(AssignError::Mec)?);
+    for mut chunk in chunks {
+        matrix.append(&mut chunk);
     }
     Ok(CostTable::from_matrix(matrix))
 }

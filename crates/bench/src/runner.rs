@@ -141,7 +141,7 @@ pub fn sweep_seed_averaged<P: Sync>(
     let sweep_parent = mec_obs::current_span_id();
     let rows = par_map_result(&pairs, |&(pi, seed)| {
         // Per-(point, seed) wall time; workers stage locally and flush
-        // into the global registry at the par_map join point.
+        // into the global registry at the par_map_result join point.
         let _timer = mec_obs::span_with_parent("sweep/point", sweep_parent);
         eval(&points[pi], seed)
     })?;

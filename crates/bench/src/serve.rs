@@ -11,9 +11,9 @@
 //!    PR-5 repair rules acting as a steady-state replanner),
 //! 2. shards the instance per base-station cluster (clusters couple
 //!    only through the cloud, so each shard is an LP of its own),
-//! 3. solves every shard concurrently under the deterministic `par_map`
-//!    contract via [`LpHta::solve_cluster`], each shard warm-started
-//!    from the basis *its own station* produced last epoch,
+//! 3. solves every shard concurrently under the deterministic
+//!    `par_map_result` contract via [`LpHta::solve_cluster`], each shard
+//!    warm-started from the basis *its own station* produced last epoch,
 //! 4. commits bases and statistics serially, rounds, and reconciles the
 //!    one cross-cluster resource — cloud capacity — with a cheap serial
 //!    migration pass,

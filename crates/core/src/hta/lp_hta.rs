@@ -387,7 +387,7 @@ impl LpHta {
     ///
     /// Pure with respect to chain state: the caller owns basis storage
     /// (see [`WarmBases`]), which is what lets the serve loop run one
-    /// `solve_cluster` per shard under the deterministic `par_map`
+    /// `solve_cluster` per shard under the deterministic `par_map_result`
     /// contract and commit the returned bases serially.
     ///
     /// # Errors

@@ -57,7 +57,6 @@ pub mod problem;
 pub mod revised;
 pub mod simplex;
 pub mod sparse;
-pub mod standard;
 
 pub use error::LpError;
 pub use problem::{Bounds, Constraint, ConstraintSense, LpProblem, LpSolution, LpStatus};

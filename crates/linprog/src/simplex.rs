@@ -1,16 +1,17 @@
 //! Two-phase revised simplex with bounded variables.
 //!
-//! Works on the [`StandardForm`] `min cᵀx, Ax = b, 0 ≤ x ≤ u` produced from
-//! an [`LpProblem`]. Phase 1 minimizes the sum of artificial variables to
-//! find a feasible basis; phase 2 optimizes the true objective. Nonbasic
-//! variables may rest at either bound, and bound flips are handled without
-//! basis changes. The basis inverse is maintained explicitly with eta
-//! updates and periodically refactorized for numerical hygiene.
+//! Works on the [`SparseStandardForm`] `min cᵀx, Ax = b, 0 ≤ x ≤ u`
+//! produced from an [`LpProblem`], densified column by column. Phase 1
+//! minimizes the sum of artificial variables to find a feasible basis;
+//! phase 2 optimizes the true objective. Nonbasic variables may rest at
+//! either bound, and bound flips are handled without basis changes. The
+//! basis inverse is maintained explicitly with eta updates and
+//! periodically refactorized for numerical hygiene.
 
 use crate::error::LpError;
 use crate::matrix::Matrix;
 use crate::problem::{LpProblem, LpSolution, LpStatus};
-use crate::standard::StandardForm;
+use crate::sparse::SparseStandardForm;
 
 const PIVOT_TOL: f64 = 1e-9;
 const COST_TOL: f64 = 1e-7;
@@ -56,7 +57,7 @@ pub fn solve_simplex(lp: &LpProblem) -> Result<LpSolution, LpError> {
     if lp.num_constraints() == 0 {
         return Ok(lp.solve_row_free());
     }
-    let sf = StandardForm::from_problem(lp);
+    let sf = SparseStandardForm::from_problem(lp);
     let mut state = SimplexState::new(&sf);
     let sol = state.run(&sf)?;
     mec_obs::counter_add("linprog/simplex/solves", 1);
@@ -100,7 +101,7 @@ struct SimplexState {
 }
 
 impl SimplexState {
-    fn new(sf: &StandardForm) -> SimplexState {
+    fn new(sf: &SparseStandardForm) -> SimplexState {
         let m = sf.num_rows();
         let num_real = sf.num_cols();
         let n_total = num_real + m;
@@ -112,10 +113,17 @@ impl SimplexState {
             let flip = if b[i] < 0.0 { -1.0 } else { 1.0 };
             row_flip[i] = flip;
             b[i] *= flip;
-            for j in 0..num_real {
-                a[(i, j)] = flip * sf.a[(i, j)];
-            }
             a[(i, num_real + i)] = 1.0;
+        }
+        // Every entry of a real column is written, zeros included, so a
+        // flipped row holds `-0.0` where the column has no nonzero.
+        let mut col = vec![0.0; m];
+        for j in 0..num_real {
+            col.fill(0.0);
+            sf.a.scatter_col(j, &mut col);
+            for i in 0..m {
+                a[(i, j)] = row_flip[i] * col[i];
+            }
         }
 
         let mut upper = sf.upper.clone();
@@ -156,7 +164,7 @@ impl SimplexState {
         }
     }
 
-    fn run(&mut self, sf: &StandardForm) -> Result<LpSolution, LpError> {
+    fn run(&mut self, sf: &SparseStandardForm) -> Result<LpSolution, LpError> {
         let limit = 200 * (self.m + self.n_total).max(100);
 
         // Phase 1: drive the artificials to zero.
@@ -470,7 +478,7 @@ impl SimplexState {
         Ok(())
     }
 
-    fn solution(&self, sf: &StandardForm, status: LpStatus) -> LpSolution {
+    fn solution(&self, sf: &SparseStandardForm, status: LpStatus) -> LpSolution {
         // Duals: y = B⁻ᵀ c_B in the flipped row space; undo the row
         // flips so duals refer to the user's right-hand sides.
         let duals = if status == LpStatus::Optimal {
@@ -494,7 +502,9 @@ impl SimplexState {
             };
         }
         let x = sf.recover(&x_std);
-        let objective = sf.original_objective(&x_std);
+        // Summed over every column, slacks included (their costs are
+        // zero), so the oracle's objective keeps its rounding.
+        let objective = crate::matrix::dot(&sf.c, &x_std) + sf.objective_offset;
         LpSolution {
             status,
             x,

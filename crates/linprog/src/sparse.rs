@@ -1,14 +1,14 @@
-//! Compressed sparse column (CSC) matrices and the sparse standard form
-//! consumed by the revised simplex backend in [`crate::revised`].
+//! Compressed sparse column (CSC) matrices and the standard form both
+//! simplex backends build from.
 //!
 //! The HTA relaxation matrix is extremely sparse — every variable appears
-//! in one assignment row and at most one capacity row — so the dense
-//! `Matrix` in [`crate::standard`] wastes both memory (`m × n` zeros) and
-//! time (dense column gathers during pricing). [`CscMatrix`] stores only
-//! the nonzeros, column-major, and [`SparseStandardForm`] mirrors the
-//! exact semantics of [`crate::standard::StandardForm`] — same slack
-//! signs, same lower-bound shift, same objective offset — without ever
-//! materialising a dense matrix.
+//! in one assignment row and at most one capacity row — so a dense
+//! `m × n` matrix wastes both memory and time (dense column gathers
+//! during pricing). [`CscMatrix`] stores only the nonzeros,
+//! column-major. [`SparseStandardForm`] is the one standard form: the
+//! revised simplex ([`crate::revised`]) prices against it directly, and
+//! the dense oracle ([`crate::simplex`]) scatters its columns into a
+//! dense tableau.
 
 use crate::problem::{ConstraintSense, LpProblem};
 
@@ -125,10 +125,8 @@ impl CscMatrix {
 }
 
 /// The standard form `min cᵀx, Ax = b, 0 ≤ x ≤ u` built sparsely from an
-/// [`LpProblem`], semantically identical to
-/// [`crate::standard::StandardForm`]: variables are shifted by their lower
-/// bounds, `≤` rows gain a `+1` slack, `≥` rows a `−1` slack, equalities
-/// none.
+/// [`LpProblem`]: variables are shifted by their lower bounds, `≤` rows
+/// gain a `+1` slack, `≥` rows a `−1` slack, equalities none.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparseStandardForm {
     /// Constraint matrix over structural + slack columns.
@@ -250,7 +248,6 @@ impl SparseStandardForm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::standard::StandardForm;
 
     fn sample_lp() -> LpProblem {
         // min x − 2y + z, x + y ≤ 4, y − z ≥ −1, x + z = 2,
@@ -316,31 +313,49 @@ mod tests {
         }
     }
 
+    /// Column `j` of `sf.a` as a dense vector.
+    fn dense_col(sf: &SparseStandardForm, j: usize) -> Vec<f64> {
+        let mut col = vec![0.0; sf.num_rows()];
+        sf.a.scatter_col(j, &mut col);
+        col
+    }
+
     #[test]
-    fn sparse_standard_form_matches_dense() {
-        let lp = sample_lp();
-        let dense = StandardForm::from_problem(&lp);
-        let sparse = SparseStandardForm::from_problem(&lp);
-        assert_eq!(sparse.num_rows(), dense.num_rows());
-        assert_eq!(sparse.num_cols(), dense.num_cols());
-        assert_eq!(sparse.num_structural, dense.num_structural);
-        assert_eq!(sparse.b, dense.b);
-        assert_eq!(sparse.c, dense.c);
-        assert_eq!(sparse.upper, dense.upper);
-        assert_eq!(sparse.shift, dense.shift);
-        assert_eq!(sparse.objective_offset, dense.objective_offset);
-        for j in 0..sparse.num_cols() {
-            let mut col = vec![0.0; sparse.num_rows()];
-            sparse.a.scatter_col(j, &mut col);
-            for i in 0..sparse.num_rows() {
-                assert_eq!(col[i], dense.a[(i, j)], "entry ({i}, {j})");
-            }
-        }
-        let x_std = vec![0.5; sparse.num_cols()];
-        assert_eq!(sparse.recover(&x_std), dense.recover(&x_std));
-        assert!(
-            (sparse.original_objective(&x_std) - dense.original_objective(&x_std)).abs() < 1e-12
+    fn shapes_and_slacks() {
+        let sf = SparseStandardForm::from_problem(&sample_lp());
+        assert_eq!(sf.num_rows(), 3);
+        // 3 structural + 2 slacks (the equality row gets none).
+        assert_eq!(sf.num_cols(), 5);
+        assert_eq!(sf.num_structural, 3);
+        assert_eq!(dense_col(&sf, 0), vec![1.0, 0.0, 1.0]);
+        assert_eq!(dense_col(&sf, 2), vec![0.0, -1.0, 1.0]);
+        // The Le row's slack is +1, the Ge row's −1.
+        assert_eq!(dense_col(&sf, 3), vec![1.0, 0.0, 0.0]);
+        assert_eq!(dense_col(&sf, 4), vec![0.0, -1.0, 0.0]);
+        assert_eq!(sf.c, vec![1.0, -2.0, 1.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn lower_bound_shift_adjusts_rhs_and_offset() {
+        let sf = SparseStandardForm::from_problem(&sample_lp());
+        // x ≥ 1 and z ≥ 0.5 shift the rows: 4 − 1, −1 + 0.5, 2 − 1 − 0.5.
+        assert_eq!(sf.b, vec![3.0, -0.5, 0.5]);
+        assert_eq!(sf.shift, vec![1.0, 0.0, 0.5]);
+        assert_eq!(sf.objective_offset, 1.5);
+        // x in [1, 3] becomes x' in [0, 2]; z and the slacks stay unbounded.
+        assert_eq!(
+            sf.upper,
+            vec![2.0, 2.0, f64::INFINITY, f64::INFINITY, f64::INFINITY]
         );
+    }
+
+    #[test]
+    fn recover_round_trips() {
+        let sf = SparseStandardForm::from_problem(&sample_lp());
+        let x_std = vec![0.5, 1.0, 0.0, 2.0, 0.0];
+        assert_eq!(sf.recover(&x_std), vec![1.5, 1.0, 0.5]);
+        // 1.5 − 2·1 + 0.5 in the original variables.
+        assert!((sf.original_objective(&x_std) - 0.0).abs() < 1e-12);
     }
 
     #[test]

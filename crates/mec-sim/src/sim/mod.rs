@@ -217,6 +217,18 @@ pub fn simulate_chaos_with_arrivals(
     faults: &FaultPlan,
 ) -> Result<ChaosSimReport, MecError> {
     let _span = mec_obs::span("sim/chaos");
+    execute(system, arrivals, contention, faults)
+}
+
+/// The one executor behind every entry point: validates the arrival
+/// times, builds each task's plan and runs the event engine under
+/// `faults` ([`FaultPlan::none`] for the fault-free runs).
+fn execute(
+    system: &MecSystem,
+    arrivals: &[(HolisticTask, ExecutionSite, Seconds)],
+    contention: Contention,
+    faults: &FaultPlan,
+) -> Result<ChaosSimReport, MecError> {
     for (task, _, at) in arrivals {
         if !(at.value() >= 0.0 && at.is_finite()) {
             return Err(MecError::InvalidParameter {
@@ -230,7 +242,7 @@ pub fn simulate_chaos_with_arrivals(
         .map(|(t, s, _)| build_plan(system, t, *s))
         .collect::<Result<_, _>>()?;
     let times: Vec<f64> = arrivals.iter().map(|(_, _, at)| at.value()).collect();
-    let mut engine = Engine::new(contention, &plans, Some(faults));
+    let mut engine = Engine::new(contention, &plans, faults);
     let finish = engine.run_with_arrivals(&times);
     let results = arrivals
         .iter()
@@ -327,36 +339,25 @@ pub fn simulate_with_arrivals(
     arrivals: &[(HolisticTask, ExecutionSite, Seconds)],
     contention: Contention,
 ) -> Result<SimReport, MecError> {
-    for (task, _, at) in arrivals {
-        if !(at.value() >= 0.0 && at.is_finite()) {
-            return Err(MecError::InvalidParameter {
-                name: "arrival",
-                reason: format!("{} arrives at invalid time {at}", task.id),
-            });
-        }
-    }
-    let plans: Vec<Plan> = arrivals
-        .iter()
-        .map(|(t, s, _)| build_plan(system, t, *s))
-        .collect::<Result<_, _>>()?;
-    let times: Vec<f64> = arrivals.iter().map(|(_, _, at)| at.value()).collect();
-    let mut engine = Engine::new(contention, &plans, None);
-    let finish = engine.run_with_arrivals(&times);
-    let results = arrivals
-        .iter()
-        .zip(plans.iter())
-        .zip(finish.iter())
-        .map(|(((task, site, arrival), plan), &completion)| {
-            let sojourn = completion - *arrival;
-            TaskSimResult {
-                id: task.id,
-                site: *site,
-                arrival: *arrival,
+    let report = execute(system, arrivals, contention, &FaultPlan::none())?;
+    let results = report
+        .results
+        .into_iter()
+        .map(|r| match r.outcome {
+            ChaosOutcome::Completed {
                 completion,
                 sojourn,
-                energy: plan.total_energy(),
-                met_deadline: sojourn <= task.deadline,
-            }
+                met_deadline,
+            } => TaskSimResult {
+                id: r.id,
+                site: r.site,
+                arrival: r.arrival,
+                completion,
+                sojourn,
+                energy: r.energy,
+                met_deadline,
+            },
+            ChaosOutcome::Failed(_) => unreachable!("an empty fault plan strikes no task"),
         })
         .collect();
     Ok(SimReport { results })
@@ -420,8 +421,8 @@ struct Engine<'a> {
     /// Remaining unfinished branches per (task, step) for parallel steps.
     open_branches: HashMap<(usize, usize), usize>,
     finish: Vec<f64>,
-    /// Injected faults; `None` keeps the fault-free arithmetic untouched.
-    faults: Option<&'a FaultPlan>,
+    /// Injected faults; [`FaultPlan::none`] for fault-free runs.
+    faults: &'a FaultPlan,
     /// First fault hit per task (a struck task never restarts in-sim;
     /// replanning is the repair layer's job).
     failed: Vec<Option<FaultHit>>,
@@ -435,7 +436,7 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    fn new(contention: Contention, plans: &'a [Plan], faults: Option<&'a FaultPlan>) -> Engine<'a> {
+    fn new(contention: Contention, plans: &'a [Plan], faults: &'a FaultPlan) -> Engine<'a> {
         Engine {
             contention,
             plans,
@@ -542,31 +543,23 @@ impl<'a> Engine<'a> {
 
     /// Starts service of a stage: the point where faults apply. A fault
     /// hit fails the whole task; a degradation/straggler window stretches
-    /// the stage (duration and energy alike). With no fault plan the
-    /// arithmetic is exactly `now + duration` — nothing is multiplied.
+    /// the stage (duration and energy alike). Outside every window the
+    /// stretch is exactly `1.0`, and `duration * 1.0 == duration`, so a
+    /// fault-free run keeps the analytic arithmetic bit for bit.
     fn schedule(&mut self, sref: StageRef, stage: Stage, now: f64) {
-        if let Some(plan) = self.faults {
-            if let Some(kind) = plan.hit(stage.resource, now) {
-                self.fail_task(sref, stage, now, kind);
-                return;
-            }
-            let stretch = plan.stretch(stage.resource, now);
-            if stretch != 1.0 {
-                self.touched[sref.task] = true;
-                mec_obs::counter_add("sim/chaos/stretched_stages", 1);
-            }
-            self.energy[sref.task] += stage.energy.value() * stretch;
-            self.seq += 1;
-            self.heap.push(Reverse(Event {
-                time: now + stage.duration.value() * stretch,
-                seq: self.seq,
-                stage: sref,
-            }));
+        if let Some(kind) = self.faults.hit(stage.resource, now) {
+            self.fail_task(sref, stage, now, kind);
             return;
         }
+        let stretch = self.faults.stretch(stage.resource, now);
+        if stretch != 1.0 {
+            self.touched[sref.task] = true;
+            mec_obs::counter_add("sim/chaos/stretched_stages", 1);
+        }
+        self.energy[sref.task] += stage.energy.value() * stretch;
         self.seq += 1;
         self.heap.push(Reverse(Event {
-            time: now + stage.duration.value(),
+            time: now + stage.duration.value() * stretch,
             seq: self.seq,
             stage: sref,
         }));

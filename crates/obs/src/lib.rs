@@ -17,7 +17,7 @@
 //!   relaxed atomic load — when tracing is off (the default), every
 //!   recording call is a branch and nothing else;
 //! * **thread-local staging**: [`span`], [`counter_add`], and [`observe`]
-//!   write into an uncontended per-thread store, so `par_map` workers
+//!   write into an uncontended per-thread store, so `par_map_result` workers
 //!   never touch a shared lock on the hot path;
 //! * a **global registry** guarded by one mutex that staging stores merge
 //!   into when their thread exits or when [`flush_current_thread`] is
@@ -35,7 +35,7 @@
 //! `JoinHandle::join` are safe (the underlying `pthread_join` waits for
 //! full thread termination). Scoped workers that must be visible at the
 //! join point therefore call [`flush_current_thread`] as the last thing
-//! in their closure, which is what `mec_bench::par::par_map` does.
+//! in their closure, which is what `mec_bench::par::par_map_result` does.
 //!
 //! ## Flight recorder (span events)
 //!
@@ -48,7 +48,7 @@
 //! and the `obs/events/dropped` counter incremented, while the aggregates
 //! stay exact. Parent linkage comes from a thread-local span stack;
 //! [`span_with_parent`] links a span to an explicit parent on *another*
-//! thread, which is how `sweep/point` spans on `par_map` workers attach
+//! thread, which is how `sweep/point` spans on `par_map_result` workers attach
 //! to the experiment span on the coordinating thread. The events land in
 //! the [`TraceSnapshot`] (schema v2, `"events"` key — see DESIGN.md §7)
 //! and feed the offline `dsmec trace` analysis: self-time tables, the
@@ -473,7 +473,7 @@ impl Store {
 }
 
 /// Thread-local staging store; its `Drop` flushes whatever the thread
-/// recorded into the global registry, so short-lived `par_map` workers
+/// recorded into the global registry, so short-lived `par_map_result` workers
 /// contribute without ever locking mid-sweep.
 struct Staging(RefCell<Store>);
 
@@ -709,7 +709,7 @@ pub fn gauge_set(name: &'static str, value: f64) {
 
 /// Merges the calling thread's staged metrics and events into the global
 /// registry. Worker threads flush automatically on exit; long-lived
-/// threads — the main thread between sweeps, the `par_map` caller at its
+/// threads — the main thread between sweeps, the `par_map_result` caller at its
 /// join point — call this (or [`snapshot`], which flushes first) so a
 /// mid-run snapshot does not silently miss their staged data. Each merge
 /// of a non-empty store is counted under `obs/flush`.
@@ -724,11 +724,6 @@ pub fn flush_current_thread() {
             }
         }
     });
-}
-
-/// Alias of [`flush_current_thread`], kept for existing call sites.
-pub fn flush() {
-    flush_current_thread();
 }
 
 /// Clears the global registry, the calling thread's staging store, and

@@ -26,7 +26,6 @@ fn record_quick_trace(tag: &str) -> PathBuf {
             dir.join("csv").to_str().expect("utf-8 path"),
         ])
         .current_dir(&dir)
-        .env_remove("DSMEC_TRACE")
         .env_remove("DSMEC_TRACE_EVENTS")
         .output()
         .expect("run repro");
@@ -69,8 +68,6 @@ fn dsmec_in(dir: &Path, args: &[&str]) -> (bool, String, String) {
     let output = Command::new(env!("CARGO_BIN_EXE_dsmec"))
         .args(args)
         .current_dir(dir)
-        .env_remove("DSMEC_TRACE")
-        .env_remove("DSMEC_CHAOS")
         .output()
         .expect("run dsmec");
     (
