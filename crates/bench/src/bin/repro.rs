@@ -51,31 +51,10 @@ fn run_pass(runners: &[(&'static str, Runner)], opts: &ExperimentOptions) -> Pas
     pass
 }
 
-/// The `--chaos SEED` pass: LP-HTA on the paper-default scenario, then
-/// the full fault-injection + repair pipeline, archived as
-/// `DIR/CHAOS_report.json` (seed, fault plan, per-task fates, event log).
-fn run_chaos(seed: u64, out_dir: &std::path::Path) -> Result<String, String> {
-    use mec_sim::sim::Contention;
-    let scenario = cli::generate_scenario(42, 5, 10, 100, 3000.0).map_err(|e| e.to_string())?;
-    let file = cli::assign_scenario(&scenario, cli::AlgorithmName::LpHta, 42)
-        .map_err(|e| e.to_string())?;
-    let run = cli::chaos_assignment(&scenario, &file, Contention::Exclusive, seed)
-        .map_err(|e| e.to_string())?;
-    std::fs::create_dir_all(out_dir).map_err(|e| format!("creating {}: {e}", out_dir.display()))?;
-    let path = out_dir.join("CHAOS_report.json");
-    let path = path.to_str().ok_or("non-UTF-8 output path")?;
-    cli::write_json(path, &run)?;
-    Ok(format!(
-        "{}   -> {path}",
-        cli::render_chaos_report(&run).trim_end()
-    ))
-}
-
 fn main() -> ExitCode {
     let mut opts = ExperimentOptions::default();
     let mut out_dir = PathBuf::from("target/experiments");
     let mut trace_flag: Option<String> = None;
-    let mut chaos_flag: Option<String> = None;
     let mut selected: Vec<String> = Vec::new();
 
     let mut args = std::env::args().skip(1);
@@ -96,13 +75,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--chaos" => match args.next() {
-                Some(seed) => chaos_flag = Some(seed),
-                None => {
-                    eprintln!("--chaos requires a seed");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--threads" => match args.next().map(|s| cli::apply_threads(&s)) {
                 Some(Ok(_)) => {}
                 Some(Err(e)) => {
@@ -117,11 +89,8 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: repro [--quick] [--threads N] [--out DIR] [--trace PATH] \
-                     [--chaos SEED] [EXPERIMENT...]"
+                     [EXPERIMENT...]"
                 );
-                eprintln!("with --chaos SEED, a paper-default scenario is additionally run");
-                eprintln!("under a seeded fault plan with repair; the full plan and event");
-                eprintln!("log land in DIR/CHAOS_report.json for replay");
                 eprintln!("environment:");
                 eprintln!("  DSMEC_THREADS=N       worker threads when --threads is not given");
                 eprintln!("  DSMEC_TRACE_EVENTS=0  record aggregates only (no span events)");
@@ -134,14 +103,6 @@ fn main() -> ExitCode {
             other => selected.push(other.to_string()),
         }
     }
-
-    let chaos_seed = match cli::resolve_chaos(chaos_flag.as_deref()) {
-        Ok(seed) => seed,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
 
     let runners: Vec<(&'static str, Runner)> = registry()
         .into_iter()
@@ -173,18 +134,6 @@ fn main() -> ExitCode {
     }
     for (id, e) in &pass.failures {
         eprintln!("{id} FAILED: {e}");
-    }
-
-    // Chaos pass: replay a paper-default scenario under a seeded fault
-    // plan with repair, archiving the plan + event log for replay.
-    if let Some(seed) = chaos_seed {
-        match run_chaos(seed, &out_dir) {
-            Ok(summary) => println!("{summary}"),
-            Err(e) => {
-                eprintln!("chaos FAILED: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
     }
 
     if let Some(path) = &trace_path {

@@ -235,7 +235,7 @@ pub fn simulate_assignment(
     Ok(simulate(&scenario.system, &exec, contention)?)
 }
 
-/// Resolves the chaos seed shared by both binaries from `--chaos SEED`;
+/// Resolves the chaos seed from `--chaos SEED`;
 /// `None` (no fault injection) when the flag is absent or empty.
 ///
 /// # Errors

@@ -13,7 +13,7 @@
 
 use crate::cache;
 use crate::par::par_map_result;
-use crate::runner::{eval_algos, paper_comparators, sweep_seed_averaged, Algo};
+use crate::runner::{eval_algos, legends, paper_comparators, sweep_seed_averaged, Algo};
 use crate::table::Figure;
 use dsmec_core::dta::{
     divide_balanced, divide_min_devices, divisible_as_holistic, dta_device_shares, exact_min_max,
@@ -146,7 +146,7 @@ pub fn fig2a(opts: &ExperimentOptions) -> FigResult {
         "tasks",
         "total energy (J)",
         opts.task_sweep().iter().map(|t| t.to_string()).collect(),
-        &["LP-HTA", "HGOS", "AllToC", "AllOffload"],
+        &legends(&algos),
         rows,
     ))
 }
@@ -164,7 +164,7 @@ pub fn fig2b(opts: &ExperimentOptions) -> FigResult {
             .iter()
             .map(|s| format!("{s:.0}"))
             .collect(),
-        &["LP-HTA", "HGOS", "AllToC", "AllOffload"],
+        &legends(&algos),
         rows,
     ))
 }
@@ -190,7 +190,7 @@ pub fn fig3(opts: &ExperimentOptions) -> FigResult {
         "tasks",
         "unsatisfied rate",
         points.iter().map(|t| t.to_string()).collect(),
-        &["LP-HTA", "HGOS", "AllOffload"],
+        &legends(&algos),
         rows,
     ))
 }
@@ -205,7 +205,7 @@ pub fn fig4a(opts: &ExperimentOptions) -> FigResult {
         "tasks",
         "average latency (s)",
         opts.task_sweep().iter().map(|t| t.to_string()).collect(),
-        &["LP-HTA", "HGOS", "AllToC", "AllOffload"],
+        &legends(&algos),
         rows,
     ))
 }
@@ -223,7 +223,7 @@ pub fn fig4b(opts: &ExperimentOptions) -> FigResult {
             .iter()
             .map(|s| format!("{s:.0}"))
             .collect(),
-        &["LP-HTA", "HGOS", "AllToC", "AllOffload"],
+        &legends(&algos),
         rows,
     ))
 }
@@ -650,7 +650,7 @@ pub fn ext_nash(opts: &ExperimentOptions) -> FigResult {
 /// with "saving energy for the majority of mobile devices"; this makes
 /// that measurable with per-device attribution and a 5 kJ battery fleet.
 pub fn ext_battery(opts: &ExperimentOptions) -> FigResult {
-    use mec_sim::battery::{attribute_energy, BatteryFleet, DeviceShare};
+    use mec_sim::battery::{round_shares, rounds_until_first_depletion, BatteryFleet, DeviceShare};
     let tasks = if opts.quick { 40 } else { 150 };
     let strategies = ["LP-HTA raw", "DTA-Workload", "DTA-Number"];
     // One flat 3×3 row per seed (strategy-major), averaged by the sweep
@@ -665,18 +665,11 @@ pub fn ext_battery(opts: &ExperimentOptions) -> FigResult {
         let holistic = divisible_as_holistic(&s)?;
         let costs = crate::pricing::build_cost_table(&s.system, &holistic)?;
         let a = LpHta::paper().assign(&s.system, &holistic, &costs)?;
-        let mut shares: Vec<DeviceShare> = Vec::new();
-        for (idx, task) in holistic.iter().enumerate() {
-            if let Some(site) = a.decision(idx).site() {
-                for sh in attribute_energy(&s.system, task, site)? {
-                    match shares.iter_mut().find(|x| x.device == sh.device) {
-                        Some(x) => x.energy += sh.energy,
-                        None => shares.push(sh),
-                    }
-                }
-            }
-        }
-        per_strategy.push(shares);
+        let executions = holistic
+            .iter()
+            .enumerate()
+            .filter_map(|(idx, task)| Some((task, a.decision(idx).site()?)));
+        per_strategy.push(round_shares(&s.system, executions)?);
         for cfg in [DtaConfig::workload(), DtaConfig::number()] {
             let report = run_dta(&s, cfg)?;
             per_strategy.push(dta_device_shares(&s, &report, cfg.descriptor_bytes)?);
@@ -686,12 +679,7 @@ pub fn ext_battery(opts: &ExperimentOptions) -> FigResult {
         for shares in &per_strategy {
             // Rounds until the first battery dies under repeated rounds.
             let mut fleet = BatteryFleet::uniform(&s.system, capacity)?;
-            let mut rounds = 0usize;
-            while fleet.depleted().is_empty() && rounds < 1_000_000 {
-                fleet.drain(shares);
-                rounds += 1;
-            }
-            row.push(rounds as f64);
+            row.push(rounds_until_first_depletion(&mut fleet, shares, 1_000_000) as f64);
             // Devices barely touched in one round (< 0.1% drain).
             let mut fresh = BatteryFleet::uniform(&s.system, capacity)?;
             fresh.drain(shares);

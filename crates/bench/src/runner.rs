@@ -28,22 +28,22 @@ pub enum Algo {
     /// Keep work local while capacity lasts.
     LocalFirst,
     /// Seeded random placement.
-    Random(u64),
+    Random(RandomAssign),
     /// Best-response offloading game to Nash equilibrium (refs \[8\]/\[13\]).
     Nash(NashOffload),
 }
 
 impl Algo {
-    /// Display name matching the paper's legends.
-    pub fn name(&self) -> &'static str {
+    /// The wrapped algorithm; its [`HtaAlgorithm::name`] is the legend.
+    pub fn algorithm(&self) -> &dyn HtaAlgorithm {
         match self {
-            Algo::LpHta(_) => "LP-HTA",
-            Algo::Hgos(_) => "HGOS",
-            Algo::AllToC => "AllToC",
-            Algo::AllOffload => "AllOffload",
-            Algo::LocalFirst => "LocalFirst",
-            Algo::Random(_) => "Random",
-            Algo::Nash(_) => "NashOffload",
+            Algo::LpHta(a) => a,
+            Algo::Hgos(a) => a,
+            Algo::AllToC => &AllToC,
+            Algo::AllOffload => &AllOffload,
+            Algo::LocalFirst => &LocalFirst,
+            Algo::Random(a) => a,
+            Algo::Nash(a) => a,
         }
     }
 
@@ -53,19 +53,16 @@ impl Algo {
     ///
     /// Propagates the wrapped algorithm's errors.
     pub fn run(&self, scenario: &Scenario, costs: &CostTable) -> Result<Metrics, AssignError> {
-        let assignment = match self {
-            Algo::LpHta(a) => a.assign(&scenario.system, &scenario.tasks, costs)?,
-            Algo::Hgos(a) => a.assign(&scenario.system, &scenario.tasks, costs)?,
-            Algo::AllToC => AllToC.assign(&scenario.system, &scenario.tasks, costs)?,
-            Algo::AllOffload => AllOffload.assign(&scenario.system, &scenario.tasks, costs)?,
-            Algo::LocalFirst => LocalFirst.assign(&scenario.system, &scenario.tasks, costs)?,
-            Algo::Random(seed) => {
-                RandomAssign { seed: *seed }.assign(&scenario.system, &scenario.tasks, costs)?
-            }
-            Algo::Nash(a) => a.assign(&scenario.system, &scenario.tasks, costs)?,
-        };
+        let assignment = self
+            .algorithm()
+            .assign(&scenario.system, &scenario.tasks, costs)?;
         evaluate_assignment(&scenario.tasks, costs, &assignment)
     }
+}
+
+/// The legend of each algorithm in `algos`, in order.
+pub(crate) fn legends(algos: &[Algo]) -> Vec<&'static str> {
+    algos.iter().map(|a| a.algorithm().name()).collect()
 }
 
 /// The paper's Fig. 2–4 comparator set.
@@ -175,9 +172,18 @@ mod tests {
 
     #[test]
     fn algo_names() {
-        assert_eq!(Algo::LpHta(LpHta::paper()).name(), "LP-HTA");
-        assert_eq!(Algo::AllToC.name(), "AllToC");
-        assert_eq!(paper_comparators().len(), 4);
+        assert_eq!(
+            legends(&paper_comparators()),
+            ["LP-HTA", "HGOS", "AllToC", "AllOffload"]
+        );
+        assert_eq!(
+            Algo::Nash(NashOffload::default()).algorithm().name(),
+            "NashOffload"
+        );
+        assert_eq!(
+            Algo::Random(RandomAssign { seed: 1 }).algorithm().name(),
+            "Random"
+        );
     }
 
     #[test]

@@ -26,6 +26,7 @@
 
 use crate::timing::percentile;
 use dsmec_core::assignment::Decision;
+use dsmec_core::capacity::Headroom;
 use dsmec_core::costs::CostTable;
 use dsmec_core::error::AssignError;
 use dsmec_core::hta::{cluster_task_indices, ClusterSolve, FractionalSolution, LpHta, WarmBases};
@@ -704,16 +705,11 @@ fn reconcile_cloud(
         return 0;
     }
     // Station headroom after this epoch's own station placements.
-    let mut free: Vec<f64> = stream
-        .system
-        .stations()
-        .iter()
-        .map(|s| s.max_resource.value())
-        .collect();
+    let mut room = Headroom::new(&stream.system);
     for (i, d) in decisions.iter().enumerate() {
         if matches!(d, Decision::Assigned(ExecutionSite::Station)) {
-            if let Ok(st) = stream.system.station_of(tasks[i].owner) {
-                free[st.0] -= tasks[i].resource.value();
+            if let Ok(claim) = room.claim(&tasks[i]) {
+                room.take(ExecutionSite::Station, &claim);
             }
         }
     }
@@ -731,12 +727,13 @@ fn reconcile_cloud(
         if remaining <= limit {
             break;
         }
-        let Ok(st) = stream.system.station_of(tasks[i].owner) else {
+        let Ok(claim) = room.claim(&tasks[i]) else {
             continue;
         };
-        let need = tasks[i].resource.value();
-        if costs.feasible(i, ExecutionSite::Station, tasks[i].deadline) && free[st.0] >= need {
-            free[st.0] -= need;
+        if costs.feasible(i, ExecutionSite::Station, tasks[i].deadline)
+            && room.fits(ExecutionSite::Station, &claim)
+        {
+            room.take(ExecutionSite::Station, &claim);
             decisions[i] = Decision::Assigned(ExecutionSite::Station);
             migrated += 1;
             remaining -= 1;

@@ -12,12 +12,34 @@
 //! paper describes them (their unsatisfied rates in Fig. 3 are high).
 
 use crate::assignment::{Assignment, Decision};
+use crate::capacity::Headroom;
 use crate::costs::CostTable;
 use crate::error::AssignError;
 use crate::hta::HtaAlgorithm;
 use detrand::{ChaCha8Rng, SliceRandom};
 use mec_sim::task::{ExecutionSite, HolisticTask};
 use mec_sim::topology::MecSystem;
+
+/// Places each task, in order, at the first site of `preference` that
+/// still has room. `preference` ends at the cloud, which always fits.
+fn first_fit(
+    system: &MecSystem,
+    tasks: &[HolisticTask],
+    preference: &[ExecutionSite],
+) -> Result<Assignment, AssignError> {
+    let mut room = Headroom::new(system);
+    let mut decisions = Vec::with_capacity(tasks.len());
+    for task in tasks {
+        let claim = room.claim(task)?;
+        let site = *preference
+            .iter()
+            .find(|&&s| room.fits(s, &claim))
+            .expect("the cloud always fits");
+        room.take(site, &claim);
+        decisions.push(Decision::Assigned(site));
+    }
+    Ok(Assignment::new(decisions))
+}
 
 /// Offload every task to the remote cloud.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -54,23 +76,11 @@ impl HtaAlgorithm for AllOffload {
         tasks: &[HolisticTask],
         _costs: &CostTable,
     ) -> Result<Assignment, AssignError> {
-        let mut station_free: Vec<f64> = system
-            .stations()
-            .iter()
-            .map(|s| s.max_resource.value())
-            .collect();
-        let mut decisions = Vec::with_capacity(tasks.len());
-        for task in tasks {
-            let st = system.station_of(task.owner)?;
-            let need = task.resource.value();
-            if station_free[st.0] >= need {
-                station_free[st.0] -= need;
-                decisions.push(Decision::Assigned(ExecutionSite::Station));
-            } else {
-                decisions.push(Decision::Assigned(ExecutionSite::Cloud));
-            }
-        }
-        Ok(Assignment::new(decisions))
+        first_fit(
+            system,
+            tasks,
+            &[ExecutionSite::Station, ExecutionSite::Cloud],
+        )
     }
 }
 
@@ -90,33 +100,7 @@ impl HtaAlgorithm for LocalFirst {
         tasks: &[HolisticTask],
         _costs: &CostTable,
     ) -> Result<Assignment, AssignError> {
-        let mut device_free: Vec<f64> = system
-            .devices()
-            .iter()
-            .map(|d| d.max_resource.value())
-            .collect();
-        let mut station_free: Vec<f64> = system
-            .stations()
-            .iter()
-            .map(|s| s.max_resource.value())
-            .collect();
-        let mut decisions = Vec::with_capacity(tasks.len());
-        for task in tasks {
-            let need = task.resource.value();
-            let dev = task.owner.0;
-            let st = system.station_of(task.owner)?.0;
-            let d = if device_free[dev] >= need {
-                device_free[dev] -= need;
-                ExecutionSite::Device
-            } else if station_free[st] >= need {
-                station_free[st] -= need;
-                ExecutionSite::Station
-            } else {
-                ExecutionSite::Cloud
-            };
-            decisions.push(Decision::Assigned(d));
-        }
-        Ok(Assignment::new(decisions))
+        first_fit(system, tasks, &ExecutionSite::ALL)
     }
 }
 

@@ -12,6 +12,7 @@
 //! cancellation), reported as `None`.
 
 use crate::assignment::{Assignment, Decision};
+use crate::capacity::{Claim, Headroom};
 use crate::costs::CostTable;
 use crate::error::AssignError;
 use crate::hta::cluster_task_indices;
@@ -70,8 +71,7 @@ impl ExactBnB {
                     ),
                 });
             }
-            let max_s = system.station(station)?.max_resource.value();
-            match solve_cluster(system, tasks, costs, &idxs, max_s)? {
+            match solve_cluster(system, tasks, costs, &idxs)? {
                 Some((sites, energy)) => {
                     for (k, &idx) in idxs.iter().enumerate() {
                         assignment.set(idx, Decision::Assigned(sites[k]));
@@ -91,11 +91,12 @@ struct Search<'a> {
     /// Cluster-local order of global task indices (largest resource
     /// first, so capacity conflicts surface early).
     order: Vec<usize>,
+    /// The capacity each task of `order` draws on, parallel to it.
+    claims: Vec<Claim>,
     /// Per remaining suffix: sum of each task's cheapest feasible energy
     /// (capacity-relaxed) — an admissible lower bound.
     suffix_lb: Vec<f64>,
-    device_free: Vec<f64>,
-    station_free: f64,
+    room: Headroom<'a>,
     best_energy: f64,
     best_sites: Option<Vec<ExecutionSite>>,
     current: Vec<ExecutionSite>,
@@ -106,7 +107,6 @@ fn solve_cluster(
     tasks: &[HolisticTask],
     costs: &CostTable,
     idxs: &[usize],
-    max_s: f64,
 ) -> Result<Option<(Vec<ExecutionSite>, f64)>, AssignError> {
     // Order: largest resource first.
     let mut order = idxs.to_vec();
@@ -121,34 +121,28 @@ fn solve_cluster(
     // cluster (and instance) infeasible.
     let mut cheapest = Vec::with_capacity(order.len());
     for &idx in &order {
-        let best = ExecutionSite::ALL
-            .iter()
-            .filter(|&&s| costs.feasible(idx, s, tasks[idx].deadline))
-            .map(|&s| costs.at(idx, s).energy.value())
-            .fold(f64::INFINITY, f64::min);
-        if !best.is_finite() {
+        let Some(site) = costs.task(idx).cheapest_feasible(tasks[idx].deadline) else {
             return Ok(None);
-        }
-        cheapest.push(best);
+        };
+        cheapest.push(costs.at(idx, site).energy.value());
     }
     let mut suffix_lb = vec![0.0; order.len() + 1];
     for k in (0..order.len()).rev() {
         suffix_lb[k] = suffix_lb[k + 1] + cheapest[k];
     }
 
-    let device_free: Vec<f64> = system
-        .devices()
+    let room = Headroom::new(system);
+    let claims = order
         .iter()
-        .map(|d| d.max_resource.value())
-        .collect();
-
+        .map(|&idx| room.claim(&tasks[idx]))
+        .collect::<Result<_, _>>()?;
     let mut search = Search {
         tasks,
         costs,
         order,
+        claims,
         suffix_lb,
-        device_free,
-        station_free: max_s,
+        room,
         best_energy: f64::INFINITY,
         best_sites: None,
         current: Vec::new(),
@@ -179,7 +173,7 @@ impl Search<'_> {
         }
         let idx = self.order[depth];
         let task = &self.tasks[idx];
-        let need = task.resource.value();
+        let claim = self.claims[depth];
 
         // Try sites cheapest-first for fast incumbents.
         let mut sites: Vec<ExecutionSite> = ExecutionSite::ALL
@@ -196,27 +190,14 @@ impl Search<'_> {
         });
 
         for site in sites {
-            let ok = match site {
-                ExecutionSite::Device => self.device_free[task.owner.0] >= need,
-                ExecutionSite::Station => self.station_free >= need,
-                ExecutionSite::Cloud => true,
-            };
-            if !ok {
+            if !self.room.fits(site, &claim) {
                 continue;
             }
-            match site {
-                ExecutionSite::Device => self.device_free[task.owner.0] -= need,
-                ExecutionSite::Station => self.station_free -= need,
-                ExecutionSite::Cloud => {}
-            }
+            self.room.take(site, &claim);
             self.current.push(site);
             self.recurse(depth + 1, energy + self.costs.at(idx, site).energy.value());
             self.current.pop();
-            match site {
-                ExecutionSite::Device => self.device_free[task.owner.0] += need,
-                ExecutionSite::Station => self.station_free += need,
-                ExecutionSite::Cloud => {}
-            }
+            self.room.give_back(site, &claim);
         }
     }
 }

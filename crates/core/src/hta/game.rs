@@ -17,9 +17,10 @@
 //! for energy exactly the way the paper criticizes.
 
 use crate::assignment::{Assignment, Decision};
+use crate::capacity::{Claim, Headroom};
 use crate::costs::CostTable;
 use crate::error::AssignError;
-use crate::hta::HtaAlgorithm;
+use crate::hta::{HtaAlgorithm, Overhead};
 use mec_sim::task::{ExecutionSite, HolisticTask};
 use mec_sim::topology::MecSystem;
 
@@ -73,45 +74,24 @@ impl NashOffload {
             });
         }
         let w = self.latency_weight.clamp(0.0, 1.0);
-        let n_stations = system.num_stations();
-        let station_of: Vec<usize> = tasks
+        let mut room = Headroom::new(system);
+        let claims: Vec<Claim> = tasks
             .iter()
-            .map(|t| system.station_of(t.owner).map(|s| s.0))
+            .map(|t| room.claim(t))
             .collect::<Result<_, _>>()?;
 
         // Everybody starts at the cloud (always admissible); the dynamics
         // then migrate work down while capacity lasts.
         let mut sites: Vec<ExecutionSite> = vec![ExecutionSite::Cloud; tasks.len()];
-        let mut station_load = vec![0usize; n_stations];
-        let mut device_free: Vec<f64> = system
-            .devices()
-            .iter()
-            .map(|d| d.max_resource.value())
-            .collect();
-        let mut station_free: Vec<f64> = system
-            .stations()
-            .iter()
-            .map(|s| s.max_resource.value())
-            .collect();
+        let mut station_load = vec![0usize; system.num_stations()];
 
         // Per-player normalization so overheads are commensurable.
-        let norms: Vec<(f64, f64)> = (0..tasks.len())
-            .map(|idx| {
-                let t_max = ExecutionSite::ALL
-                    .iter()
-                    .map(|&s| costs.at(idx, s).time.value())
-                    .fold(f64::MIN_POSITIVE, f64::max);
-                let e_max = ExecutionSite::ALL
-                    .iter()
-                    .map(|&s| costs.at(idx, s).energy.value())
-                    .fold(f64::MIN_POSITIVE, f64::max);
-                (t_max, e_max)
-            })
+        let norms: Vec<Overhead> = (0..tasks.len())
+            .map(|idx| Overhead::of(&costs.task(idx), w))
             .collect();
 
         let overhead = |idx: usize, site: ExecutionSite, load_after: usize| -> f64 {
             let c = costs.at(idx, site);
-            let (t_max, e_max) = norms[idx];
             // Congestion: the station CPU is time-shared among the tasks
             // computing there, so compute time scales with the queue.
             let time = match site {
@@ -127,7 +107,7 @@ impl NashOffload {
                 }
                 _ => c.time.value(),
             };
-            w * time / t_max + (1.0 - w) * c.energy.value() / e_max
+            norms[idx].at(time, c.energy.value())
         };
 
         let mut rounds = 0usize;
@@ -135,22 +115,13 @@ impl NashOffload {
         while rounds < self.max_rounds {
             rounds += 1;
             let mut moved = false;
-            for idx in 0..tasks.len() {
-                let st = station_of[idx];
+            for (idx, claim) in claims.iter().enumerate() {
+                let st = claim.station.0;
                 let current = sites[idx];
                 let current_cost = overhead(idx, current, station_load[st]);
-                let need = tasks[idx].resource.value();
                 let mut best = (current, current_cost);
                 for site in ExecutionSite::ALL {
-                    if site == current {
-                        continue;
-                    }
-                    let fits = match site {
-                        ExecutionSite::Device => device_free[tasks[idx].owner.0] >= need,
-                        ExecutionSite::Station => station_free[st] >= need,
-                        ExecutionSite::Cloud => true,
-                    };
-                    if !fits {
+                    if site == current || !room.fits(site, claim) {
                         continue;
                     }
                     let load_after = if site == ExecutionSite::Station {
@@ -164,21 +135,13 @@ impl NashOffload {
                     }
                 }
                 if best.0 != current {
-                    match current {
-                        ExecutionSite::Station => {
-                            station_load[st] -= 1;
-                            station_free[st] += need;
-                        }
-                        ExecutionSite::Device => device_free[tasks[idx].owner.0] += need,
-                        ExecutionSite::Cloud => {}
+                    room.give_back(current, claim);
+                    room.take(best.0, claim);
+                    if current == ExecutionSite::Station {
+                        station_load[st] -= 1;
                     }
-                    match best.0 {
-                        ExecutionSite::Station => {
-                            station_load[st] += 1;
-                            station_free[st] -= need;
-                        }
-                        ExecutionSite::Device => device_free[tasks[idx].owner.0] -= need,
-                        ExecutionSite::Cloud => {}
+                    if best.0 == ExecutionSite::Station {
+                        station_load[st] += 1;
                     }
                     sites[idx] = best.0;
                     moved = true;

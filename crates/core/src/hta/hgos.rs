@@ -16,9 +16,10 @@
 //! See DESIGN.md §4 for the substitution rationale.
 
 use crate::assignment::{Assignment, Decision};
+use crate::capacity::Headroom;
 use crate::costs::CostTable;
 use crate::error::AssignError;
-use crate::hta::HtaAlgorithm;
+use crate::hta::{HtaAlgorithm, Overhead};
 use mec_sim::task::{ExecutionSite, HolisticTask};
 use mec_sim::topology::MecSystem;
 
@@ -56,57 +57,24 @@ impl HtaAlgorithm for Hgos {
             });
         }
         let w = self.latency_weight.clamp(0.0, 1.0);
-        let mut device_free: Vec<f64> = system
-            .devices()
-            .iter()
-            .map(|d| d.max_resource.value())
-            .collect();
-        let mut station_free: Vec<f64> = system
-            .stations()
-            .iter()
-            .map(|s| s.max_resource.value())
-            .collect();
-
+        let mut room = Headroom::new(system);
         let mut decisions = Vec::with_capacity(tasks.len());
         for (idx, task) in tasks.iter().enumerate() {
-            let need = task.resource.value();
-            let dev = task.owner.0;
-            let st = system.station_of(task.owner)?.0;
-
-            // Normalize by the worst candidate so both terms are in [0,1].
-            let t_max = ExecutionSite::ALL
-                .iter()
-                .map(|&s| costs.at(idx, s).time.value())
-                .fold(0.0f64, f64::max)
-                .max(f64::MIN_POSITIVE);
-            let e_max = ExecutionSite::ALL
-                .iter()
-                .map(|&s| costs.at(idx, s).energy.value())
-                .fold(0.0f64, f64::max)
-                .max(f64::MIN_POSITIVE);
-
+            let claim = room.claim(task)?;
+            let task_costs = costs.task(idx);
+            let norm = Overhead::of(&task_costs, w);
             let mut best: Option<(ExecutionSite, f64)> = None;
-            for site in ExecutionSite::ALL {
-                let fits = match site {
-                    ExecutionSite::Device => device_free[dev] >= need,
-                    ExecutionSite::Station => station_free[st] >= need,
-                    ExecutionSite::Cloud => true,
-                };
-                if !fits {
+            for (site, c) in task_costs.iter() {
+                if !room.fits(site, &claim) {
                     continue;
                 }
-                let c = costs.at(idx, site);
-                let overhead = w * c.time.value() / t_max + (1.0 - w) * c.energy.value() / e_max;
+                let overhead = norm.at(c.time.value(), c.energy.value());
                 if best.is_none_or(|(_, b)| overhead < b) {
                     best = Some((site, overhead));
                 }
             }
             let (site, _) = best.expect("the cloud always fits");
-            match site {
-                ExecutionSite::Device => device_free[dev] -= need,
-                ExecutionSite::Station => station_free[st] -= need,
-                ExecutionSite::Cloud => {}
-            }
+            room.take(site, &claim);
             decisions.push(Decision::Assigned(site));
         }
         Ok(Assignment::new(decisions))

@@ -18,6 +18,7 @@
 //! Corollary 1), so every run carries its own approximation guarantee.
 
 use crate::assignment::{Assignment, Decision};
+use crate::capacity::Headroom;
 use crate::costs::CostTable;
 use crate::error::AssignError;
 use crate::hta::relaxation::build_cluster_relaxation;
@@ -26,7 +27,7 @@ use detrand::ChaCha8Rng;
 use linprog::{Basis, LpStatus};
 use mec_sim::task::{ExecutionSite, HolisticTask, TaskId};
 use mec_sim::topology::{DeviceId, MecSystem, StationId};
-use mec_sim::units::Bytes;
+use mec_sim::units::{Bytes, Seconds};
 use std::collections::HashMap;
 
 /// How Step 3 turns fractions into a site choice.
@@ -224,53 +225,26 @@ impl LpHta {
         tasks: &[HolisticTask],
         costs: &CostTable,
     ) -> Result<Option<(Assignment, LpHtaReport)>, AssignError> {
-        let mut device_free: Vec<f64> = system
-            .devices()
-            .iter()
-            .map(|d| d.max_resource.value())
-            .collect();
-        let mut station_free: Vec<f64> = system
-            .stations()
-            .iter()
-            .map(|s| s.max_resource.value())
-            .collect();
+        let mut room = Headroom::new(system);
         let mut decisions = Vec::with_capacity(tasks.len());
         let mut energy = 0.0;
         for (idx, task) in tasks.iter().enumerate() {
-            let cheapest = ExecutionSite::ALL
-                .iter()
-                .min_by(|&&a, &&b| {
-                    costs
-                        .at(idx, a)
-                        .energy
-                        .value()
-                        .total_cmp(&costs.at(idx, b).energy.value())
-                })
-                .copied()
+            // The unconstrained argmin: every site meets an infinite
+            // deadline.
+            let cheapest = costs
+                .task(idx)
+                .cheapest_feasible(Seconds::new(f64::INFINITY))
                 .ok_or_else(|| {
                     AssignError::InvalidInput("no execution sites to choose from".into())
                 })?;
             if !costs.feasible(idx, cheapest, task.deadline) {
                 return Ok(None); // the lower bound is not attainable
             }
-            let need = task.resource.value();
-            match cheapest {
-                ExecutionSite::Device => {
-                    let d = task.owner.0;
-                    if device_free[d] < need {
-                        return Ok(None);
-                    }
-                    device_free[d] -= need;
-                }
-                ExecutionSite::Station => {
-                    let st = system.station_of(task.owner)?.0;
-                    if station_free[st] < need {
-                        return Ok(None);
-                    }
-                    station_free[st] -= need;
-                }
-                ExecutionSite::Cloud => {}
+            let claim = room.claim(task)?;
+            if !room.fits(cheapest, &claim) {
+                return Ok(None);
             }
+            room.take(cheapest, &claim);
             energy += costs.at(idx, cheapest).energy.value();
             decisions.push(Decision::Assigned(cheapest));
         }
@@ -414,25 +388,14 @@ impl LpHta {
             let mut objective = 0.0;
             let mut seed = Vec::with_capacity(idxs.len());
             for &i in idxs {
+                let task_costs = costs.task(i);
                 let mut row = [0.0; 3];
-                let best = ExecutionSite::ALL
-                    .iter()
-                    .filter(|&&s| costs.feasible(i, s, tasks[i].deadline))
-                    .min_by(|&&a, &&b| {
-                        costs
-                            .at(i, a)
-                            .energy
-                            .value()
-                            .total_cmp(&costs.at(i, b).energy.value())
-                    })
-                    .copied()
+                let best = task_costs
+                    .cheapest_feasible(tasks[i].deadline)
                     .unwrap_or(ExecutionSite::Cloud);
                 row[best.index()] = 1.0;
                 seed.push(row);
-                objective += ExecutionSite::ALL
-                    .iter()
-                    .map(|&s| costs.at(i, s).energy.value())
-                    .fold(f64::INFINITY, f64::min);
+                objective += task_costs.min_energy().value();
             }
             return Ok(Some(ClusterSolve {
                 fractions: ClusterFractions {

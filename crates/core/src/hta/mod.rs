@@ -33,6 +33,7 @@ pub use relaxation::station_capacity_prices;
 use crate::assignment::Assignment;
 use crate::costs::CostTable;
 use crate::error::AssignError;
+use mec_sim::cost::TaskCosts;
 use mec_sim::task::HolisticTask;
 use mec_sim::topology::{MecSystem, StationId};
 
@@ -55,6 +56,39 @@ pub trait HtaAlgorithm {
         tasks: &[HolisticTask],
         costs: &CostTable,
     ) -> Result<Assignment, AssignError>;
+}
+
+/// The normalized overhead `w·t/t_max + (1−w)·E/E_max` that HGOS and the
+/// NashOffload players minimize. Each task is normalized by its own worst
+/// site (floored at `f64::MIN_POSITIVE`), so both terms lie in `[0, 1]`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Overhead {
+    w: f64,
+    t_max: f64,
+    e_max: f64,
+}
+
+impl Overhead {
+    /// The overhead of a task with per-site costs `costs` and latency
+    /// weight `w`.
+    pub(crate) fn of(costs: &TaskCosts, w: f64) -> Overhead {
+        let worst = |value: fn(mec_sim::cost::SiteCost) -> f64| {
+            costs
+                .iter()
+                .map(|(_, c)| value(c))
+                .fold(f64::MIN_POSITIVE, f64::max)
+        };
+        Overhead {
+            w,
+            t_max: worst(|c| c.time.value()),
+            e_max: worst(|c| c.energy.value()),
+        }
+    }
+
+    /// The overhead of running for `time` seconds at `energy` joules.
+    pub(crate) fn at(&self, time: f64, energy: f64) -> f64 {
+        self.w * time / self.t_max + (1.0 - self.w) * energy / self.e_max
+    }
 }
 
 /// Groups task indices by the cluster (base station) of their owner, in

@@ -16,6 +16,7 @@
 //! same sequences (an empirical competitive ratio).
 
 use crate::assignment::{Assignment, Decision};
+use crate::capacity::Headroom;
 use crate::costs::CostTable;
 use crate::error::AssignError;
 use crate::hta::HtaAlgorithm;
@@ -74,42 +75,14 @@ impl HtaAlgorithm for OnlineHta {
             OnlinePolicy::Greedy => 0.0,
             OnlinePolicy::Reserve { reserve } => reserve.clamp(0.0, 0.99),
         };
-        let device_total: Vec<f64> = system
-            .devices()
-            .iter()
-            .map(|d| d.max_resource.value())
-            .collect();
-        let station_total: Vec<f64> = system
-            .stations()
-            .iter()
-            .map(|s| s.max_resource.value())
-            .collect();
-        let mut device_free = device_total.clone();
-        let mut station_free = station_total.clone();
-
+        let mut room = Headroom::new(system);
         let mut decisions = Vec::with_capacity(tasks.len());
         for (idx, task) in tasks.iter().enumerate() {
-            let need = task.resource.value();
-            let dev = task.owner.0;
-            let st = system.station_of(task.owner)?.0;
-
-            let admissible = |site: ExecutionSite,
-                              device_free: &[f64],
-                              station_free: &[f64]|
-             -> bool {
-                match site {
-                    ExecutionSite::Device => device_free[dev] - need >= reserve * device_total[dev],
-                    ExecutionSite::Station => {
-                        station_free[st] - need >= reserve * station_total[st]
-                    }
-                    ExecutionSite::Cloud => true,
-                }
-            };
-
+            let claim = room.claim(task)?;
             let choice = ExecutionSite::ALL
                 .iter()
                 .filter(|&&s| costs.feasible(idx, s, task.deadline))
-                .filter(|&&s| admissible(s, &device_free, &station_free))
+                .filter(|&&s| room.keeps_reserve(s, &claim, reserve))
                 .min_by(|&&a, &&b| {
                     costs
                         .at(idx, a)
@@ -119,11 +92,7 @@ impl HtaAlgorithm for OnlineHta {
                 });
             match choice {
                 Some(&site) => {
-                    match site {
-                        ExecutionSite::Device => device_free[dev] -= need,
-                        ExecutionSite::Station => station_free[st] -= need,
-                        ExecutionSite::Cloud => {}
-                    }
+                    room.take(site, &claim);
                     decisions.push(Decision::Assigned(site));
                 }
                 None => decisions.push(Decision::Cancelled),

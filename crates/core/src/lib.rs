@@ -36,6 +36,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod assignment;
+pub mod capacity;
 pub mod costs;
 pub mod dta;
 pub mod error;

@@ -59,17 +59,12 @@ pub struct Basis {
     /// Standard-form columns (structural + slacks).
     pub num_cols: usize,
     statuses: Vec<BasisVarStatus>,
-    /// Pivots accumulated since the chain's last scheduled
-    /// refactorization, carried across warm solves so a long chain
-    /// refactorizes on the *cumulative* count (see
-    /// [`RevisedState::try_warm_start`]).
-    carried_pivots: usize,
 }
 
 impl Basis {
     /// A basis over `num_rows` rows and `statuses.len()` standard-form
     /// columns (structural variables, then one slack per inequality row
-    /// in row order), with no refactorization debt. Nothing is checked
+    /// in row order). Nothing is checked
     /// here: a candidate with the wrong basic count, an `AtUpper` on an
     /// infinite bound, a singular basis matrix or an infeasible point is
     /// declined by the solve that is offered it.
@@ -79,7 +74,6 @@ impl Basis {
             num_rows,
             num_cols: statuses.len(),
             statuses,
-            carried_pivots: 0,
         }
     }
 
@@ -87,16 +81,6 @@ impl Basis {
     #[must_use]
     pub fn statuses(&self) -> &[BasisVarStatus] {
         &self.statuses
-    }
-
-    /// Pivots this chain has accumulated since its last scheduled
-    /// refactorization. A warm solve adopting this basis starts its
-    /// refactorization countdown here instead of at zero, so chained
-    /// sweeps that warm-start hundreds of points still refactorize every
-    /// `REFACTOR_EVERY` *cumulative* pivots.
-    #[must_use]
-    pub fn carried_pivots(&self) -> usize {
-        self.carried_pivots
     }
 }
 
@@ -449,15 +433,9 @@ impl RevisedState {
         self.x_basic = rhs;
         // Adopt the acceptance probe's LU directly instead of factoring
         // the same matrix a second time (this also removes the only
-        // non-test `expect` this path used to carry).
+        // non-test `expect` this path used to carry). The fresh LU has an
+        // empty eta file, so the refactorization countdown stays at zero.
         self.factor = BasisFactor::from_lu(lu);
-        // Refactorization debt carries across the chain: `REFACTOR_EVERY`
-        // used to be a per-solve counter, so a chain warm-starting
-        // hundreds of solves never refactorized between them. Starting
-        // the countdown at the chain's cumulative pivot count forces a
-        // scheduled refactorization as soon as the *cumulative* file
-        // crosses the threshold.
-        self.pivots_since_refactor = warm.carried_pivots;
         Ok(true)
     }
 
@@ -841,7 +819,6 @@ impl RevisedState {
             num_rows: self.m,
             num_cols: self.num_real,
             statuses,
-            carried_pivots: self.pivots_since_refactor,
         })
     }
 }
@@ -1135,7 +1112,6 @@ mod tests {
                 basis.statuses(),
                 [Basic, AtLower, Basic, Basic, Basic, AtLower, AtLower, Basic]
             );
-            assert_eq!(basis.carried_pivots(), 8);
         }
         let exported = cold.basis.clone().expect("optimal solve exports a basis");
 
@@ -1222,65 +1198,6 @@ mod tests {
             out.warm_rejection
         );
         assert_optimal(&out.solution, -7.0, 1e-8);
-    }
-
-    /// Refactorization debt carries across warm solves: no single solve
-    /// in this chain comes near `REFACTOR_EVERY` pivots, but the chain's
-    /// cumulative count must still trigger scheduled refactorizations
-    /// (observable both on `Basis::carried_pivots` and the
-    /// `linprog/revised/refactorizations` counter).
-    #[test]
-    fn warm_chains_refactorize_on_cumulative_pivots() {
-        let _o = mec_obs::TEST_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        mec_obs::reset();
-        mec_obs::set_enabled(true);
-
-        // Alternating objectives move the optimum between (1,3) and
-        // (3,1), so every warm solve pivots at least once.
-        let make = |flip: bool| {
-            let mut lp = triangle_lp();
-            if flip {
-                lp.set_objective(vec![-2.0, -1.0]).unwrap();
-            }
-            lp
-        };
-        let mut basis = solve_revised_from(&make(false), &[])
-            .unwrap()
-            .basis
-            .unwrap();
-        let mut max_debt = basis.carried_pivots();
-        let mut debt_dropped = false;
-        for k in 0..(2 * REFACTOR_EVERY + 8) {
-            let out = solve_revised_from(&make(k % 2 == 0), &[&basis]).unwrap();
-            assert!(out.adopted.is_some(), "chain went cold at solve {k}");
-            let next = out.basis.unwrap();
-            if next.carried_pivots() < basis.carried_pivots() {
-                debt_dropped = true;
-            }
-            max_debt = max_debt.max(next.carried_pivots());
-            basis = next;
-        }
-        let snap = mec_obs::snapshot();
-        mec_obs::set_enabled(false);
-        mec_obs::reset();
-
-        assert!(
-            max_debt >= REFACTOR_EVERY / 2,
-            "debt never accumulated across the chain (max {max_debt})"
-        );
-        assert!(
-            debt_dropped,
-            "cumulative debt never triggered a refactorization"
-        );
-        let refactors = snap
-            .counter("linprog/revised/refactorizations")
-            .unwrap_or(0);
-        assert!(
-            refactors > 0,
-            "chain must refactorize at least once: {refactors}"
-        );
     }
 
     #[test]

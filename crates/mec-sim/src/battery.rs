@@ -169,36 +169,44 @@ impl BatteryFleet {
     }
 }
 
-/// Repeats an assignment's per-round drain until the first battery dies;
-/// returns the number of completed rounds (fleet lifetime in rounds,
-/// capped at `max_rounds`).
+/// One round's per-device drain of a set of executions: every
+/// execution's [`attribute_energy`] shares, merged per device in the
+/// order devices are first seen.
 ///
 /// # Errors
 ///
 /// Propagates attribution errors.
-pub fn rounds_until_first_depletion(
+pub fn round_shares<'t>(
     system: &MecSystem,
-    executions: &[(HolisticTask, ExecutionSite)],
-    fleet: &mut BatteryFleet,
-    max_rounds: usize,
-) -> Result<usize, MecError> {
-    // Pre-compute one round's aggregate drain.
+    executions: impl IntoIterator<Item = (&'t HolisticTask, ExecutionSite)>,
+) -> Result<Vec<DeviceShare>, MecError> {
     let mut round: Vec<DeviceShare> = Vec::new();
     for (task, site) in executions {
-        for share in attribute_energy(system, task, *site)? {
+        for share in attribute_energy(system, task, site)? {
             match round.iter_mut().find(|s| s.device == share.device) {
                 Some(s) => s.energy += share.energy,
                 None => round.push(share),
             }
         }
     }
+    Ok(round)
+}
+
+/// Repeats the per-round drain `round` until the first battery dies;
+/// returns the number of completed rounds (fleet lifetime in rounds,
+/// capped at `max_rounds`).
+pub fn rounds_until_first_depletion(
+    fleet: &mut BatteryFleet,
+    round: &[DeviceShare],
+    max_rounds: usize,
+) -> usize {
     for r in 0..max_rounds {
         if !fleet.depleted().is_empty() {
-            return Ok(r);
+            return r;
         }
-        fleet.drain(&round);
+        fleet.drain(round);
     }
-    Ok(max_rounds)
+    max_rounds
 }
 
 // JSON codecs (wire-compatible with the former serde derives).
@@ -306,14 +314,13 @@ mod tests {
     #[test]
     fn lifetime_counts_rounds() {
         let s = scenario();
-        let executions: Vec<_> = s
-            .tasks
-            .iter()
-            .map(|t| (*t, ExecutionSite::Device))
-            .collect();
+        let round = round_shares(
+            &s.system,
+            s.tasks.iter().map(|t| (t, ExecutionSite::Device)),
+        )
+        .unwrap();
         let mut fleet = BatteryFleet::uniform(&s.system, Joules::new(50.0)).unwrap();
-        let rounds =
-            rounds_until_first_depletion(&s.system, &executions, &mut fleet, 10_000).unwrap();
+        let rounds = rounds_until_first_depletion(&mut fleet, &round, 10_000);
         assert!(rounds > 0, "one round cannot kill a 50 J battery here");
         assert!(rounds < 10_000, "drain must eventually deplete somebody");
         assert!(!fleet.depleted().is_empty());

@@ -46,16 +46,13 @@ impl TaskCosts {
         ExecutionSite::ALL.iter().map(move |&s| (s, self.at(s)))
     }
 
-    /// The site with the smallest energy among those meeting `deadline`;
-    /// `None` when no site meets it.
+    /// The site with the smallest energy among those meeting `deadline`,
+    /// the lower level on ties; `None` when no site meets it. An infinite
+    /// `deadline` gives the unconstrained argmin.
     pub fn cheapest_feasible(&self, deadline: Seconds) -> Option<ExecutionSite> {
         self.iter()
             .filter(|(_, c)| c.time <= deadline)
-            .min_by(|a, b| {
-                a.1.energy
-                    .partial_cmp(&b.1.energy)
-                    .expect("finite energies")
-            })
+            .min_by(|a, b| a.1.energy.value().total_cmp(&b.1.energy.value()))
             .map(|(s, _)| s)
     }
 

@@ -42,12 +42,59 @@ fn assert_bit_identical(a: &Figure, b: &Figure) {
     }
 }
 
+/// FNV-1a digest of a figure's deterministic content: its ticks, and the
+/// name and values of every series except the wall-clock `time ms` ones.
+/// Values are printed with `{:.8e}` so a last-bit libm difference between
+/// machines cannot move the digest.
+fn figure_digest(f: &Figure) -> u64 {
+    let mut text = f.x_ticks.join(",");
+    for s in f.series.iter().filter(|s| !s.name.contains("time ms")) {
+        text.push('\n');
+        text.push_str(&s.name);
+        for v in &s.values {
+            text.push_str(&format!(",{v:.8e}"));
+        }
+    }
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The quick-mode figure digests, one per registry experiment. A change
+/// that moves any figure value must update its pin here on purpose.
+const FIGURE_DIGESTS: &[(&str, u64)] = &[
+    ("table1", 0xda07c0b80ad95929),
+    ("fig2a", 0xe07b403cb2bd392e),
+    ("fig2b", 0x58d2daf2e8c083d2),
+    ("fig3", 0x6439c448b18ca9c4),
+    ("fig4a", 0xf87cd044018ee4f1),
+    ("fig4b", 0xe4e7eb2a65143a1e),
+    ("fig5a", 0x9de21fe7abc7bdae),
+    ("fig5b", 0xb9cefbcf0df1302a),
+    ("fig6a", 0xa83c9c8bd3deb599),
+    ("fig6b", 0x1b42d83542bf807b),
+    ("ratio_check", 0xaa7cbe90adc12262),
+    ("ablate_lp_backend", 0xc31be7c916fd974e),
+    ("ablate_rounding", 0xb3f7759ade0627d1),
+    ("ablate_rebalance", 0x2058beb0084160f3),
+    ("ablate_contention", 0x43cb498a6c0371d1),
+    ("ext_nash", 0xe7021a9230b9184d),
+    ("ext_battery", 0xedb306622523608f),
+    ("ext_mobility", 0xae09c103170e2eeb),
+    ("ext_online", 0x25646af422a1f097),
+    ("ext_partial", 0x2eb943d40667d63b),
+    ("ext_arrivals", 0x2fcfc2f672e53ce1),
+    ("scale", 0x3dfe1b671e6c3883),
+];
+
 /// The headline guarantee: every registered experiment, from a cold
-/// cache, is bit-identical between one worker thread and four.
+/// cache, is bit-identical between one worker thread and four, and equal
+/// to its pinned digest.
 #[test]
 fn figures_are_bit_identical_serial_vs_parallel() {
     let _guard = threads_lock();
     let opts = ExperimentOptions::quick();
+    let mut digests = Vec::new();
     for (id, run) in registry() {
         par::set_threads(1);
         cache::clear();
@@ -66,8 +113,10 @@ fn figures_are_bit_identical_serial_vs_parallel() {
                 "scale row"
             );
         }
+        digests.push((id, figure_digest(&serial)));
     }
     par::set_threads(0);
+    assert_eq!(digests, FIGURE_DIGESTS, "figure digests");
 }
 
 /// A caller that keeps its cache warm must see the same figure as a cold
