@@ -20,7 +20,7 @@
 //! `DSMEC_CHAOS_SEEDS=1,2,3` replaces the default matrix;
 //! `DSMEC_CHAOS_EXTENDED=1` widens it for the nightly-ish sweep.
 
-use dsmec_core::repair::{AbandonReason, RepairPolicy, TaskFate};
+use dsmec_core::repair::{AbandonReason, ChaosRunReport, RepairAction, RepairPolicy, TaskFate};
 use dsmec_core::{execute_with_repair, CostTable};
 use mec_bench::cli::{
     assign_scenario, chaos_assignment, generate_scenario, resolve_chaos, AlgorithmName,
@@ -199,6 +199,86 @@ fn fault_and_repair_event_sequence_is_identical_across_thread_counts() {
     for ((seed, a), b) in seeds.iter().zip(&serial).zip(&parallel) {
         assert_eq!(a, b, "seed {seed}: event sequence depends on threads");
     }
+}
+
+/// FNV-1a digest of a chaos run: the event log in
+/// [`ChaosRunReport::fingerprint`] order followed by every task's fate.
+/// Times and energies are printed with `{:.8e}` so a last-bit libm
+/// difference between machines cannot move the digest.
+fn chaos_digest(report: &ChaosRunReport) -> u64 {
+    let mut text = String::new();
+    for e in &report.events {
+        let hit = match e.hit {
+            Some(h) => format!("{:?}@{:.8e}", h.kind, h.time.value()),
+            None => "-".to_string(),
+        };
+        let action = match e.action {
+            RepairAction::Retry { attempt, at } => format!("Retry {attempt} {:.8e}", at.value()),
+            other => format!("{other:?}"),
+        };
+        text.push_str(&format!(
+            "{}:{:.8e}:{hit}:{action};",
+            e.task,
+            e.time.value()
+        ));
+    }
+    for r in &report.results {
+        let fate = match r.fate {
+            TaskFate::Completed {
+                completion,
+                met_deadline,
+                recovered,
+                ..
+            } => format!(
+                "done {:.8e} {met_deadline} {recovered}",
+                completion.value()
+            ),
+            TaskFate::Failed { reason, last_hit } => {
+                format!("{reason:?} {:?}", last_hit.map(|h| h.kind))
+            }
+        };
+        text.push_str(&format!(
+            "\n{}:{:?}:{}:{:.8e}:{fate}",
+            r.id,
+            r.site,
+            r.attempts,
+            r.energy.value()
+        ));
+    }
+    text.push_str(&format!("\nwaves {}", report.waves));
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The repair output per default chaos seed on the suite's 60-task
+/// scenario. A change that moves any repair decision, fate or energy
+/// must update its pin here on purpose.
+const CHAOS_DIGESTS: &[(u64, u64)] = &[
+    (1, 0x65cb9ff859eb7470),
+    (7, 0xa1fab09d22cd34fd),
+    (42, 0xfbdd2f1650e4fe28),
+    (0xC0FFEE, 0x5fb8573e84c5aa47),
+    (0xDEAD_BEEF, 0x89c971e41c2bc7c3),
+];
+
+/// The repair loop's output is pinned per seed: the event log and every
+/// task's fate hash to the values recorded in [`CHAOS_DIGESTS`]. Seeds
+/// outside the table (a `DSMEC_CHAOS_SEEDS` override, the extended
+/// sweep) run unpinned.
+#[test]
+fn chaos_repair_output_is_pinned_per_seed() {
+    let scenario = generate_scenario(42, 3, 8, 60, 3000.0).unwrap();
+    let file = assign_scenario(&scenario, AlgorithmName::LpHta, 42).unwrap();
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    for seed in seed_matrix() {
+        if let Some(&pin) = CHAOS_DIGESTS.iter().find(|(s, _)| *s == seed) {
+            let run = chaos_assignment(&scenario, &file, Contention::Exclusive, seed).unwrap();
+            got.push((seed, chaos_digest(&run.report)));
+            want.push(pin);
+        }
+    }
+    assert_eq!(got, want, "chaos digests");
 }
 
 /// The shrinkable chaos case: a scenario sized by the generator's
