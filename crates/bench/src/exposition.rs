@@ -23,7 +23,7 @@
 
 use mec_obs::IntervalSnapshot;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -162,6 +162,68 @@ fn family_of<'a>(types: &BTreeMap<String, String>, sample: &'a str) -> Option<&'
     None
 }
 
+/// The first fault [`parse_exposition`] found, and the line it sits on.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ExpositionError {
+    /// 1-based line number.
+    pub line: usize,
+    /// What is wrong with the line.
+    pub fault: ExpositionFault,
+}
+
+/// The faults [`parse_exposition`] rejects.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ExpositionFault {
+    /// A `# TYPE` line without exactly a name and a kind.
+    MalformedType,
+    /// A `# TYPE` kind outside counter/gauge/histogram/summary/untyped.
+    UnknownType(String),
+    /// A second `# TYPE` for the named family.
+    DuplicateType(String),
+    /// A `{` with no closing `}`.
+    UnclosedLabels,
+    /// A sample name with no value after it.
+    NoValue,
+    /// A sample name outside `[A-Za-z_:][A-Za-z0-9_:]*`.
+    InvalidName(String),
+    /// A sample value that is not a number, `+Inf`, `-Inf` or `NaN`.
+    InvalidValue(String),
+    /// A label pair without `=`.
+    LabelWithoutEquals,
+    /// A label value without surrounding quotes.
+    UnquotedLabel,
+    /// A sample of no `# TYPE`-declared family.
+    OrphanSample(String),
+}
+
+impl ExpositionFault {
+    fn at(self, line: usize) -> ExpositionError {
+        ExpositionError { line, fault: self }
+    }
+}
+
+impl fmt::Display for ExpositionError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "line {}: ", self.line)?;
+        match &self.fault {
+            ExpositionFault::MalformedType => write!(f, "malformed TYPE declaration"),
+            ExpositionFault::UnknownType(kind) => write!(f, "unknown metric type `{kind}`"),
+            ExpositionFault::DuplicateType(name) => write!(f, "duplicate TYPE for `{name}`"),
+            ExpositionFault::UnclosedLabels => write!(f, "unclosed label braces"),
+            ExpositionFault::NoValue => write!(f, "sample has no value"),
+            ExpositionFault::InvalidName(name) => write!(f, "invalid metric name `{name}`"),
+            ExpositionFault::InvalidValue(v) => write!(f, "invalid sample value `{v}`"),
+            ExpositionFault::LabelWithoutEquals => write!(f, "label without `=`"),
+            ExpositionFault::UnquotedLabel => write!(f, "label value must be quoted"),
+            ExpositionFault::OrphanSample(name) => {
+                write!(f, "sample `{name}` does not belong to any declared family")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ExpositionError {}
+
 /// Parses and validates Prometheus text exposition. Every sample line
 /// must resolve to a `# TYPE`-declared family; malformed lines, unknown
 /// metric types and orphan samples are errors. Non-`TYPE` comment lines
@@ -169,8 +231,8 @@ fn family_of<'a>(types: &BTreeMap<String, String>, sample: &'a str) -> Option<&'
 ///
 /// # Errors
 ///
-/// A line-numbered message describing the first violation.
-pub fn parse_exposition(text: &str) -> Result<Exposition, String> {
+/// The first violation, with its line number.
+pub fn parse_exposition(text: &str) -> Result<Exposition, ExpositionError> {
     let mut types: BTreeMap<String, String> = BTreeMap::new();
     let mut samples = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
@@ -185,41 +247,39 @@ pub fn parse_exposition(text: &str) -> Result<Exposition, String> {
                 let mut parts = decl.split_ascii_whitespace();
                 let (Some(name), Some(kind), None) = (parts.next(), parts.next(), parts.next())
                 else {
-                    return Err(format!("line {lineno}: malformed TYPE declaration"));
+                    return Err(ExpositionFault::MalformedType.at(lineno));
                 };
                 if !matches!(
                     kind,
                     "counter" | "gauge" | "histogram" | "summary" | "untyped"
                 ) {
-                    return Err(format!("line {lineno}: unknown metric type `{kind}`"));
+                    return Err(ExpositionFault::UnknownType(kind.to_string()).at(lineno));
                 }
                 if types.insert(name.to_string(), kind.to_string()).is_some() {
-                    return Err(format!("line {lineno}: duplicate TYPE for `{name}`"));
+                    return Err(ExpositionFault::DuplicateType(name.to_string()).at(lineno));
                 }
             }
             continue;
         }
-        samples.push(parse_sample(line, lineno)?);
+        samples.push((lineno, parse_sample(line, lineno)?));
     }
-    for s in &samples {
+    for (lineno, s) in &samples {
         if family_of(&types, &s.name).is_none() {
-            return Err(format!(
-                "sample `{}` does not belong to any declared family",
-                s.name
-            ));
+            return Err(ExpositionFault::OrphanSample(s.name.clone()).at(*lineno));
         }
     }
+    let samples = samples.into_iter().map(|(_, s)| s).collect();
     Ok(Exposition { types, samples })
 }
 
 /// Parses one sample line: `name[{label="value",…}] value`.
-fn parse_sample(line: &str, lineno: usize) -> Result<Sample, String> {
+fn parse_sample(line: &str, lineno: usize) -> Result<Sample, ExpositionError> {
     let (name_part, rest) = match line.find('{') {
         Some(brace) => {
             let close = line[brace..]
                 .find('}')
                 .map(|i| brace + i)
-                .ok_or_else(|| format!("line {lineno}: unclosed label braces"))?;
+                .ok_or(ExpositionFault::UnclosedLabels.at(lineno))?;
             (
                 &line[..brace],
                 Some((&line[brace + 1..close], &line[close + 1..])),
@@ -232,7 +292,7 @@ fn parse_sample(line: &str, lineno: usize) -> Result<Sample, String> {
         None => {
             let space = name_part
                 .find(char::is_whitespace)
-                .ok_or_else(|| format!("line {lineno}: sample has no value"))?;
+                .ok_or(ExpositionFault::NoValue.at(lineno))?;
             return finish_sample(&name_part[..space], vec![], &name_part[space..], lineno);
         }
     };
@@ -244,7 +304,7 @@ fn finish_sample(
     labels: Vec<(String, String)>,
     value_part: &str,
     lineno: usize,
-) -> Result<Sample, String> {
+) -> Result<Sample, ExpositionError> {
     let name = name.trim();
     if name.is_empty()
         || !name
@@ -252,7 +312,7 @@ fn finish_sample(
             .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
         || name.starts_with(|c: char| c.is_ascii_digit())
     {
-        return Err(format!("line {lineno}: invalid metric name `{name}`"));
+        return Err(ExpositionFault::InvalidName(name.to_string()).at(lineno));
     }
     let value_text = value_part.trim();
     let value = match value_text {
@@ -261,7 +321,7 @@ fn finish_sample(
         "NaN" => f64::NAN,
         v => v
             .parse::<f64>()
-            .map_err(|_| format!("line {lineno}: invalid sample value `{v}`"))?,
+            .map_err(|_| ExpositionFault::InvalidValue(v.to_string()).at(lineno))?,
     };
     Ok(Sample {
         name: name.to_string(),
@@ -271,7 +331,7 @@ fn finish_sample(
 }
 
 /// Parses `key="value"` pairs separated by commas.
-fn parse_labels(text: &str, lineno: usize) -> Result<Vec<(String, String)>, String> {
+fn parse_labels(text: &str, lineno: usize) -> Result<Vec<(String, String)>, ExpositionError> {
     let mut labels = Vec::new();
     let text = text.trim();
     if text.is_empty() {
@@ -284,13 +344,13 @@ fn parse_labels(text: &str, lineno: usize) -> Result<Vec<(String, String)>, Stri
         }
         let eq = pair
             .find('=')
-            .ok_or_else(|| format!("line {lineno}: label without `=`"))?;
+            .ok_or(ExpositionFault::LabelWithoutEquals.at(lineno))?;
         let key = pair[..eq].trim();
         let raw = pair[eq + 1..].trim();
         let value = raw
             .strip_prefix('"')
             .and_then(|v| v.strip_suffix('"'))
-            .ok_or_else(|| format!("line {lineno}: label value must be quoted"))?;
+            .ok_or(ExpositionFault::UnquotedLabel.at(lineno))?;
         labels.push((key.to_string(), value.to_string()));
     }
     Ok(labels)
@@ -591,18 +651,30 @@ mod tests {
 
     #[test]
     fn parser_rejects_orphan_samples_and_bad_lines() {
-        let orphan = "dsmec_mystery_total 4\n";
-        assert!(parse_exposition(orphan)
-            .unwrap_err()
-            .contains("does not belong"));
+        let fault = |text: &str| {
+            parse_exposition(text)
+                .map(|_| ())
+                .map_err(|e| (e.line, e.fault))
+        };
+        let orphan = "# TYPE dsmec_x gauge\ndsmec_x 1\ndsmec_mystery_total 4\n";
+        assert_eq!(
+            fault(orphan),
+            Err((
+                3,
+                ExpositionFault::OrphanSample("dsmec_mystery_total".into())
+            ))
+        );
         let bad_type = "# TYPE dsmec_x flux\ndsmec_x 1\n";
-        assert!(parse_exposition(bad_type)
-            .unwrap_err()
-            .contains("unknown metric type"));
+        assert_eq!(
+            fault(bad_type),
+            Err((1, ExpositionFault::UnknownType("flux".into())))
+        );
         let no_value = "# TYPE dsmec_x gauge\ndsmec_x\n";
-        assert!(parse_exposition(no_value).unwrap_err().contains("no value"));
+        assert_eq!(fault(no_value), Err((2, ExpositionFault::NoValue)));
         let unclosed = "# TYPE dsmec_x histogram\ndsmec_x_bucket{le=\"1\" 3\n";
-        assert!(parse_exposition(unclosed).unwrap_err().contains("unclosed"));
+        assert_eq!(fault(unclosed), Err((2, ExpositionFault::UnclosedLabels)));
+        let err = parse_exposition("# TYPE dsmec_x gauge\ndsmec_x one\n").unwrap_err();
+        assert_eq!(err.to_string(), "line 2: invalid sample value `one`");
     }
 
     #[test]

@@ -22,7 +22,7 @@
 use crate::exposition::{http_get, parse_exposition, render_exposition, MetricsServer};
 use crate::serve::EpochStats;
 use mec_obs::IntervalSnapshot;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
 use std::net::SocketAddr;
@@ -149,14 +149,35 @@ impl TelemetryPlane {
     }
 }
 
+/// Why [`read_flight_log`] failed.
+#[derive(Debug)]
+pub enum FlightLogError {
+    /// The file could not be read.
+    Io(std::io::Error),
+    /// The 1-based line is not an interval snapshot.
+    BadRecord(usize, djson::JsonError),
+}
+
+impl fmt::Display for FlightLogError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FlightLogError::Io(e) => write!(f, "{e}"),
+            FlightLogError::BadRecord(line, e) => write!(f, "line {line}: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for FlightLogError {}
+
 /// Reads a JSONL flight log back into interval snapshots. Blank lines
 /// are ignored; a malformed line reports its line number.
 ///
 /// # Errors
 ///
-/// File read errors and per-line djson decode errors.
-pub fn read_flight_log(path: &str) -> Result<Vec<IntervalSnapshot>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+/// [`FlightLogError::Io`] when the file cannot be read,
+/// [`FlightLogError::BadRecord`] for the first line djson cannot decode.
+pub fn read_flight_log(path: &str) -> Result<Vec<IntervalSnapshot>, FlightLogError> {
+    let text = std::fs::read_to_string(path).map_err(FlightLogError::Io)?;
     let mut records = Vec::new();
     for (idx, line) in text.lines().enumerate() {
         let line = line.trim();
@@ -164,7 +185,7 @@ pub fn read_flight_log(path: &str) -> Result<Vec<IntervalSnapshot>, String> {
             continue;
         }
         let snap: IntervalSnapshot =
-            djson::from_str(line).map_err(|e| format!("{path}:{}: {e}", idx + 1))?;
+            djson::from_str(line).map_err(|e| FlightLogError::BadRecord(idx + 1, e))?;
         records.push(snap);
     }
     Ok(records)
@@ -414,7 +435,7 @@ pub struct MetricsArgs {
 /// Read/parse errors, and — the gate — a summary of every SLO violation,
 /// which the binary turns into a nonzero exit.
 pub fn metrics_command(args: &MetricsArgs) -> Result<(), String> {
-    let records = read_flight_log(&args.file)?;
+    let records = read_flight_log(&args.file).map_err(|e| format!("{}: {e}", args.file))?;
     if records.is_empty() {
         return Err(format!("{}: flight log holds no intervals", args.file));
     }
@@ -481,7 +502,7 @@ pub struct TopArgs {
 /// — that is the normal way a watch terminates, not an error.
 pub fn top_command(args: &TopArgs) -> Result<(), String> {
     if let Some(file) = &args.file {
-        let records = read_flight_log(file)?;
+        let records = read_flight_log(file).map_err(|e| format!("{file}: {e}"))?;
         print!("{}", render_trend(&records));
         return Ok(());
     }
@@ -651,9 +672,13 @@ mod tests {
         let back = read_flight_log(path.to_str().unwrap()).unwrap();
         assert_eq!(back, records);
 
-        std::fs::write(&path, "{\"interval\": 0").unwrap();
+        std::fs::write(&path, "\n{\"interval\": 0").unwrap();
         let err = read_flight_log(path.to_str().unwrap()).unwrap_err();
-        assert!(err.contains(":1:"), "{err}");
+        assert!(matches!(err, FlightLogError::BadRecord(2, _)), "{err}");
+        assert!(err.to_string().starts_with("line 2: "), "{err}");
+        let missing = dir.join("missing.jsonl");
+        let err = read_flight_log(missing.to_str().unwrap()).unwrap_err();
+        assert!(matches!(err, FlightLogError::Io(_)), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

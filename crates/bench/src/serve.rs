@@ -6,9 +6,11 @@
 //! steady state: a [`mec_sim::stream::TaskStream`] feeds micro-batches of
 //! arrivals into an epoch loop that
 //!
-//! 1. applies device churn from an optional seeded fault plan (dead
-//!    owners cancel at ingest; dead data sources are re-sourced — the
-//!    PR-5 repair rules acting as a steady-state replanner),
+//! 1. applies device churn from an optional seeded fault plan:
+//!    [`FaultPlan::dead_at`] names the devices dead at the epoch's close,
+//!    their owned tasks cancel at ingest, and dead data sources are
+//!    re-sourced through [`replacement_source`] — the chaos repair rules
+//!    acting as a steady-state replanner,
 //! 2. shards the instance per base-station cluster (clusters couple
 //!    only through the cloud, so each shard is an LP of its own),
 //! 3. solves every shard concurrently under the deterministic
@@ -30,10 +32,11 @@ use dsmec_core::capacity::Headroom;
 use dsmec_core::costs::CostTable;
 use dsmec_core::error::AssignError;
 use dsmec_core::hta::{cluster_task_indices, ClusterSolve, FractionalSolution, LpHta, WarmBases};
-use mec_sim::sim::{ChaosConfig, Fault, FaultPlan};
+use dsmec_core::repair::replacement_source;
+use mec_sim::sim::{ChaosConfig, FaultPlan};
 use mec_sim::stream::{StreamConfig, TaskStream};
 use mec_sim::task::{ExecutionSite, HolisticTask};
-use mec_sim::topology::{DeviceId, StationId};
+use mec_sim::topology::StationId;
 use mec_sim::units::{Bytes, Seconds};
 use mec_sim::workload::ScenarioConfig;
 use std::time::Instant;
@@ -354,12 +357,12 @@ impl Outcome {
     }
 }
 
-/// Replans a task whose external data source died this epoch. The
-/// replacement is the lowest-id live device other than the owner — the
-/// same rule every epoch, so replays agree for any worker-thread count.
-/// When every other device is dead (all holders of the shared datum went
-/// down at once) the external dependency is dropped entirely — source
-/// cleared *and* size zeroed together, preserving the
+/// Replans a task whose external data source died this epoch, through
+/// the repair layer's [`replacement_source`] rule — the same rule every
+/// epoch, so replays agree for any worker-thread count. When every other
+/// device is dead (all holders of the shared datum went down at once)
+/// the external dependency is dropped entirely — source cleared *and*
+/// size zeroed together, preserving the
 /// `external_size > 0 ⟺ external_source` pairing that
 /// `HolisticTask::validate` enforces — so no task ever reaches the LP
 /// still pointing at a dead source. Returns `true` iff the task was
@@ -374,10 +377,7 @@ fn resource_dead_external(task: &mut HolisticTask, is_dead: &[bool]) -> bool {
     if src.0 >= is_dead.len() || !is_dead[src.0] {
         return false;
     }
-    let replacement = (0..is_dead.len())
-        .map(DeviceId)
-        .find(|d| !is_dead[d.0] && *d != task.owner);
-    match replacement {
+    match replacement_source(task.owner, is_dead) {
         Some(d) => task.external_source = Some(d),
         None => {
             task.external_source = None;
@@ -430,23 +430,6 @@ pub fn serve_with_hook(
         }
         None => FaultPlan::none(),
     };
-    // Dropouts are the only permanent churn: a device that died before an
-    // epoch's decision point is gone for that epoch and every later one.
-    // Epoch close times never decrease, so the dead mask (dense over
-    // device ids) lives for the whole session and a cursor walks the
-    // dropouts in time order (finite: `FaultPlan` validates them),
-    // marking each once.
-    let mut dropouts: Vec<(DeviceId, Seconds)> = plan
-        .faults()
-        .iter()
-        .filter_map(|f| match *f {
-            Fault::Dropout { device, at } => Some((device, at)),
-            _ => None,
-        })
-        .collect();
-    dropouts.sort_by(|a, b| a.1.value().total_cmp(&b.1.value()));
-    let mut dropped = 0usize;
-    let mut is_dead = vec![false; stream.system.num_devices()];
 
     // The serve loop always runs the sharded LP: the batch-mode fast
     // path proves optimality per instance but carries no chaining state,
@@ -461,13 +444,9 @@ pub fn serve_with_hook(
     for batch in &stream.batches {
         let _epoch_span = mec_obs::span("serve/epoch");
         let started = Instant::now();
-        let now = batch.close_time();
-        while let Some(&(d, _)) = dropouts.get(dropped).filter(|(_, at)| *at <= now) {
-            if d.0 < is_dead.len() {
-                is_dead[d.0] = true;
-            }
-            dropped += 1;
-        }
+        // Dropouts are the only permanent churn: a device that died at or
+        // before the epoch's close time is gone for this epoch.
+        let is_dead = plan.dead_at(batch.close_time(), stream.system.num_devices());
 
         // Ingest churn: cancel dead owners, replan dead data sources to
         // the lowest live device (deterministic, same rule every epoch).
@@ -746,6 +725,7 @@ fn reconcile_cloud(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mec_sim::topology::DeviceId;
 
     /// Scrubs the wall-clock fields (decision latencies, throughput) so
     /// replays can be compared on their deterministic content.

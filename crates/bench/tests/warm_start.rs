@@ -7,7 +7,7 @@
 
 use dsmec_core::costs::CostTable;
 use dsmec_core::hta::{cluster_task_indices, LpHta, WarmBases};
-use mec_sim::sim::{ChaosConfig, Fault};
+use mec_sim::sim::ChaosConfig;
 use mec_sim::stream::StreamConfig;
 use mec_sim::units::{Bytes, Seconds};
 use mec_sim::workload::ScenarioConfig;
@@ -99,12 +99,7 @@ fn churned_warm_chains_match_cold_solves_over_a_serve_session() {
         // dead source is dropped (serve re-sources it; either keeps the
         // task valid).
         let now = batch.close_time();
-        let mut is_dead = vec![false; stream.system.num_devices()];
-        for fault in plan.faults() {
-            if let Fault::Dropout { device, at } = *fault {
-                is_dead[device.0] |= at <= now;
-            }
-        }
+        let is_dead = plan.dead_at(now, stream.system.num_devices());
         let live: Vec<_> = batch
             .tasks
             .iter()

@@ -49,4 +49,4 @@ pub use costs::CostTable;
 pub use error::AssignError;
 pub use hta::{HtaAlgorithm, LpHta};
 pub use metrics::{evaluate_assignment, Metrics};
-pub use repair::{execute_with_repair, repair_coverage, ChaosRunReport, RepairPolicy};
+pub use repair::{execute_with_repair, ChaosRunReport, RepairPolicy};

@@ -9,8 +9,8 @@
 //!    retry at the same site after an exponential backoff; **permanent**
 //!    (device dropout) tasks are abandoned when the dead device is the
 //!    task's *owner* (the user who must receive the result is gone),
-//!    re-sourced to the lowest-id live device when it was the shared-data
-//!    *source*, and moved to a cheaper feasible site — ultimately the
+//!    re-sourced through [`replacement_source`] when it was the
+//!    shared-data *source*, and moved to a cheaper feasible site — ultimately the
 //!    cloud, whose resources the paper treats as unconstrained — when
 //!    their current site no longer fits the remaining deadline;
 //! 3. reassignments that would overflow a station's residual capacity go
@@ -34,16 +34,14 @@
 
 use crate::assignment::{Assignment, Decision};
 use crate::costs::CostTable;
-use crate::dta::Coverage;
 use crate::error::AssignError;
 use crate::hta::lp_hta::{repair_capacity, Buckets};
-use mec_sim::data::{DataUniverse, ItemSet, OwnersIndex};
 use mec_sim::sim::{
     simulate_chaos_with_arrivals, ChaosOutcome, Contention, FaultHit, FaultHitKind, FaultPlan,
 };
 use mec_sim::task::{ExecutionSite, HolisticTask, TaskId};
 use mec_sim::topology::{DeviceId, MecSystem};
-use mec_sim::units::{Joules, Seconds};
+use mec_sim::units::{Bytes, Joules, Seconds};
 
 /// Retry/backoff knobs of the repair loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -206,12 +204,123 @@ impl ChaosRunReport {
     }
 }
 
+/// The one rule for replacing a dead shared-data source: the lowest-id
+/// device that is neither dead nor the task's `owner`. `dead` is the
+/// dense mask of [`FaultPlan::dead_at`], indexed by device id and sized
+/// to the device count. `None` when no such device is left; each caller
+/// decides what that means (serve drops the dependency, the repair loop
+/// abandons the task with [`AbandonReason::DataLost`]).
+#[must_use]
+pub fn replacement_source(owner: DeviceId, dead: &[bool]) -> Option<DeviceId> {
+    (0..dead.len())
+        .map(DeviceId)
+        .find(|&d| !dead[d.0] && d != owner)
+}
+
 /// One stranded task awaiting the next wave.
 #[derive(Debug, Clone, Copy)]
 struct Pending {
     idx: usize,
     site: ExecutionSite,
     release: Seconds,
+}
+
+/// One task's record across waves: what its attempts spent, how many
+/// retries it used, whether a repair touched it, and — once settled —
+/// where and how it ended.
+#[derive(Debug, Clone, Copy, Default)]
+struct Entry {
+    energy: f64,
+    attempts: u32,
+    recovered: bool,
+    site: Option<ExecutionSite>,
+    fate: Option<TaskFate>,
+}
+
+/// The repair loop's state: one [`Entry`] per input task plus the
+/// ordered event log. Every decision goes through it, so a task's
+/// result and its log entry are written together.
+struct Ledger<'a> {
+    tasks: &'a [HolisticTask],
+    entries: Vec<Entry>,
+    events: Vec<RepairEvent>,
+}
+
+impl Ledger<'_> {
+    fn log(&mut self, idx: usize, time: Seconds, hit: Option<FaultHit>, action: RepairAction) {
+        self.events.push(RepairEvent {
+            task: self.tasks[idx].id,
+            time,
+            hit,
+            action,
+        });
+    }
+
+    /// Gives up on task `idx`. Assignment-time cancellations are logged
+    /// like any other failure but are not repair abandonments, so they
+    /// leave `chaos/repair/abandoned` alone.
+    fn abandon(
+        &mut self,
+        idx: usize,
+        site: Option<ExecutionSite>,
+        hit: Option<FaultHit>,
+        reason: AbandonReason,
+    ) {
+        if reason != AbandonReason::CancelledAtAssignment {
+            mec_obs::counter_add("chaos/repair/abandoned", 1);
+        }
+        self.log(
+            idx,
+            hit.map_or(Seconds::ZERO, |h| h.time),
+            hit,
+            RepairAction::Abandoned(reason),
+        );
+        let entry = &mut self.entries[idx];
+        entry.site = site;
+        entry.fate = Some(TaskFate::Failed {
+            reason,
+            last_hit: hit,
+        });
+    }
+
+    /// Task `idx` finished at `site`. Sojourn and deadline are measured
+    /// from the ORIGINAL arrival (zero), not the retry release.
+    fn complete(&mut self, idx: usize, site: ExecutionSite, completion: Seconds) {
+        let deadline = self.tasks[idx].deadline;
+        let entry = &mut self.entries[idx];
+        entry.site = Some(site);
+        entry.fate = Some(TaskFate::Completed {
+            completion,
+            sojourn: completion,
+            met_deadline: completion <= deadline,
+            recovered: entry.recovered,
+        });
+    }
+
+    fn into_report(self, waves: u32) -> ChaosRunReport {
+        let results = self
+            .tasks
+            .iter()
+            .zip(self.entries)
+            .map(|(task, e)| TaskRepairResult {
+                id: task.id,
+                site: e.site,
+                energy: Joules::new(e.energy),
+                attempts: e.attempts,
+                // Structurally guaranteed: every task completes or is
+                // abandoned. Belt-and-braces for future edits.
+                fate: e.fate.unwrap_or(TaskFate::Failed {
+                    reason: AbandonReason::RetriesExhausted,
+                    last_hit: None,
+                }),
+            })
+            .collect();
+        ChaosRunReport {
+            results,
+            events: self.events,
+            waves,
+        }
+    }
 }
 
 /// Runs `assignment` under `plan`, replanning stranded tasks per
@@ -237,14 +346,15 @@ pub fn execute_with_repair(
             other: assignment.len(),
         });
     }
-    let dead = plan.dying_devices();
+    // Every device that ever drops is unusable as a replacement source.
+    let dead = plan.dead_at(Seconds::new(f64::INFINITY), system.num_devices());
     // Working copies: sources may be rewritten by repair.
     let mut current: Vec<HolisticTask> = tasks.to_vec();
-    let mut results: Vec<Option<TaskRepairResult>> = vec![None; tasks.len()];
-    let mut events: Vec<RepairEvent> = Vec::new();
-    let mut attempts: Vec<u32> = vec![0; tasks.len()];
-    let mut energy: Vec<f64> = vec![0.0; tasks.len()];
-    let mut recovered: Vec<bool> = vec![false; tasks.len()];
+    let mut ledger = Ledger {
+        tasks,
+        entries: vec![Entry::default(); tasks.len()],
+        events: Vec::new(),
+    };
 
     let mut pending: Vec<Pending> = Vec::new();
     for (idx, d) in assignment.decisions().iter().enumerate() {
@@ -254,56 +364,13 @@ pub fn execute_with_repair(
                 site: *site,
                 release: Seconds::ZERO,
             }),
+            // Explicit, never silent: assignment-time cancellations
+            // appear in the report like any other failure.
             Decision::Cancelled => {
-                // Explicit, never silent: assignment-time cancellations
-                // appear in the report like any other failure.
-                events.push(RepairEvent {
-                    task: tasks[idx].id,
-                    time: Seconds::ZERO,
-                    hit: None,
-                    action: RepairAction::Abandoned(AbandonReason::CancelledAtAssignment),
-                });
-                results[idx] = Some(TaskRepairResult {
-                    id: tasks[idx].id,
-                    site: None,
-                    energy: Joules::ZERO,
-                    attempts: 0,
-                    fate: TaskFate::Failed {
-                        reason: AbandonReason::CancelledAtAssignment,
-                        last_hit: None,
-                    },
-                });
+                ledger.abandon(idx, None, None, AbandonReason::CancelledAtAssignment);
             }
         }
     }
-
-    let abandon = |idx: usize,
-                   site: ExecutionSite,
-                   hit: Option<FaultHit>,
-                   reason: AbandonReason,
-                   results: &mut Vec<Option<TaskRepairResult>>,
-                   events: &mut Vec<RepairEvent>,
-                   energy: &[f64],
-                   attempts: &[u32],
-                   tasks: &[HolisticTask]| {
-        mec_obs::counter_add("chaos/repair/abandoned", 1);
-        events.push(RepairEvent {
-            task: tasks[idx].id,
-            time: hit.map_or(Seconds::ZERO, |h| h.time),
-            hit,
-            action: RepairAction::Abandoned(reason),
-        });
-        results[idx] = Some(TaskRepairResult {
-            id: tasks[idx].id,
-            site: Some(site),
-            energy: Joules::new(energy[idx]),
-            attempts: attempts[idx],
-            fate: TaskFate::Failed {
-                reason,
-                last_hit: hit,
-            },
-        });
-    };
 
     // Every wave either completes a task, abandons it, or consumes one of
     // its bounded repair tokens (≤ max_retries retries + one re-source +
@@ -316,17 +383,7 @@ pub fn execute_with_repair(
     while !pending.is_empty() {
         if waves >= max_waves {
             for p in pending.drain(..) {
-                abandon(
-                    p.idx,
-                    p.site,
-                    None,
-                    AbandonReason::RetriesExhausted,
-                    &mut results,
-                    &mut events,
-                    &energy,
-                    &attempts,
-                    tasks,
-                );
+                ledger.abandon(p.idx, Some(p.site), None, AbandonReason::RetriesExhausted);
             }
             break;
         }
@@ -339,367 +396,202 @@ pub fn execute_with_repair(
             .map_err(AssignError::Mec)?;
 
         let wave: Vec<Pending> = std::mem::take(&mut pending);
-        // Residual station capacity for this wave's reassignments: what
-        // unaffected (non-wave, non-failed) tasks have not claimed.
-        // Dense membership mask over task indices (was a `BTreeSet`).
-        let mut in_wave = vec![false; tasks.len()];
-        for p in &wave {
-            in_wave[p.idx] = true;
-        }
-        let costs = CostTable::build(system, &current)?;
-
-        // Classify every wave task; collect reassignment candidates for
-        // the capacity pass.
-        let mut moved: Vec<(usize, ExecutionSite)> = Vec::new();
+        // Classify every wave task; collect the tasks replanned onto
+        // their station for the capacity pass.
+        let mut moved: Vec<usize> = Vec::new();
         for (p, r) in wave.iter().zip(report.results.iter()) {
             let idx = p.idx;
-            energy[idx] += r.energy.value();
-            match r.outcome {
+            ledger.entries[idx].energy += r.energy.value();
+            let hit = match r.outcome {
                 ChaosOutcome::Completed { completion, .. } => {
-                    // Sojourn and deadline are re-derived against the
-                    // ORIGINAL arrival (zero), not the retry release.
-                    let sojourn = completion; // original arrival is 0
-                    results[idx] = Some(TaskRepairResult {
-                        id: tasks[idx].id,
-                        site: Some(p.site),
-                        energy: Joules::new(energy[idx]),
-                        attempts: attempts[idx],
-                        fate: TaskFate::Completed {
-                            completion,
-                            sojourn,
-                            met_deadline: sojourn <= tasks[idx].deadline,
-                            recovered: recovered[idx],
+                    ledger.complete(idx, p.site, completion);
+                    continue;
+                }
+                ChaosOutcome::Failed(hit) => hit,
+            };
+            ledger.entries[idx].recovered = true;
+            match hit.kind {
+                FaultHitKind::LinkOutage(_) => {
+                    let attempts = ledger.entries[idx].attempts;
+                    if attempts >= policy.max_retries {
+                        ledger.abandon(
+                            idx,
+                            Some(p.site),
+                            Some(hit),
+                            AbandonReason::RetriesExhausted,
+                        );
+                        continue;
+                    }
+                    ledger.entries[idx].attempts = attempts + 1;
+                    // Exponential backoff with a saturated exponent:
+                    // `1u32 << attempts` overflows once attempts reaches
+                    // 32, which an adversarial max_retries makes
+                    // reachable (debug panic, masked shift in release).
+                    // 2^60 seconds already exceeds any horizon, so
+                    // capping keeps the schedule finite and monotone.
+                    let exponent = attempts.min(60);
+                    let at = hit.time + policy.backoff * 2f64.powi(exponent as i32);
+                    mec_obs::counter_add("chaos/repair/retries", 1);
+                    ledger.log(
+                        idx,
+                        hit.time,
+                        Some(hit),
+                        RepairAction::Retry {
+                            attempt: attempts + 1,
+                            at,
                         },
+                    );
+                    pending.push(Pending {
+                        idx,
+                        site: p.site,
+                        release: at,
                     });
                 }
-                ChaosOutcome::Failed(hit) => {
-                    recovered[idx] = true;
-                    match hit.kind {
-                        FaultHitKind::LinkOutage(_) => {
-                            if attempts[idx] < policy.max_retries {
-                                attempts[idx] += 1;
-                                // Exponential backoff with a saturated
-                                // exponent: `1u32 << (attempts - 1)`
-                                // overflows once attempts exceeds 32,
-                                // which an adversarial max_retries makes
-                                // reachable (debug panic, masked shift in
-                                // release). 2^60 seconds already exceeds
-                                // any horizon, so capping keeps the
-                                // schedule finite and monotone.
-                                let exponent = (attempts[idx] - 1).min(60);
-                                let backoff = policy.backoff * 2f64.powi(exponent as i32);
-                                let at = hit.time + backoff;
-                                mec_obs::counter_add("chaos/repair/retries", 1);
-                                events.push(RepairEvent {
-                                    task: tasks[idx].id,
-                                    time: hit.time,
-                                    hit: Some(hit),
-                                    action: RepairAction::Retry {
-                                        attempt: attempts[idx],
-                                        at,
-                                    },
-                                });
-                                pending.push(Pending {
-                                    idx,
-                                    site: p.site,
-                                    release: at,
-                                });
-                            } else {
-                                abandon(
-                                    idx,
-                                    p.site,
-                                    Some(hit),
-                                    AbandonReason::RetriesExhausted,
-                                    &mut results,
-                                    &mut events,
-                                    &energy,
-                                    &attempts,
-                                    tasks,
-                                );
-                            }
-                        }
-                        FaultHitKind::DeviceLost(lost) => {
-                            if lost == tasks[idx].owner {
-                                abandon(
-                                    idx,
-                                    p.site,
-                                    Some(hit),
-                                    AbandonReason::OwnerLost,
-                                    &mut results,
-                                    &mut events,
-                                    &energy,
-                                    &attempts,
-                                    tasks,
-                                );
-                                continue;
-                            }
-                            // The dead device must be the shared-data
-                            // source: find the lowest-id live replacement.
-                            let replacement = system
-                                .devices()
-                                .iter()
-                                .map(|d| d.id)
-                                .find(|d| *d != tasks[idx].owner && !dead.contains(d));
-                            let Some(new_source) = replacement else {
-                                abandon(
-                                    idx,
-                                    p.site,
-                                    Some(hit),
-                                    AbandonReason::DataLost,
-                                    &mut results,
-                                    &mut events,
-                                    &energy,
-                                    &attempts,
-                                    tasks,
-                                );
-                                continue;
-                            };
-                            current[idx].external_source = Some(new_source);
-                            // Site choice against the REMAINING deadline:
-                            // keep the current site if it still fits,
-                            // else the cheapest fitting site, else cloud
-                            // (runs and reports its miss — explicit, not
-                            // dropped).
-                            let task_costs = mec_sim::cost::evaluate(system, &current[idx])?;
-                            let remaining = tasks[idx].deadline - hit.time;
-                            let fits = |site: ExecutionSite| task_costs.at(site).time <= remaining;
-                            let site = if fits(p.site) {
-                                p.site
-                            } else {
-                                ExecutionSite::ALL
-                                    .into_iter()
-                                    .filter(|s| fits(*s))
-                                    .min_by(|a, b| {
-                                        task_costs
-                                            .at(*a)
-                                            .energy
-                                            .value()
-                                            .total_cmp(&task_costs.at(*b).energy.value())
-                                    })
-                                    .unwrap_or(ExecutionSite::Cloud)
-                            };
-                            mec_obs::counter_add("chaos/repair/resourced", 1);
-                            events.push(RepairEvent {
-                                task: tasks[idx].id,
-                                time: hit.time,
-                                hit: Some(hit),
-                                action: RepairAction::Resourced { new_source, site },
-                            });
-                            if site != p.site {
-                                mec_obs::counter_add("chaos/repair/reassignments", 1);
-                                events.push(RepairEvent {
-                                    task: tasks[idx].id,
-                                    time: hit.time,
-                                    hit: Some(hit),
-                                    action: RepairAction::Reassigned {
-                                        from: p.site,
-                                        to: site,
-                                    },
-                                });
-                            }
-                            if site == ExecutionSite::Station {
-                                moved.push((idx, site));
-                            }
-                            pending.push(Pending {
-                                idx,
-                                site,
-                                release: hit.time,
-                            });
-                        }
+                FaultHitKind::DeviceLost(lost) if lost == tasks[idx].owner => {
+                    ledger.abandon(idx, Some(p.site), Some(hit), AbandonReason::OwnerLost);
+                }
+                // The dead device must be the shared-data source.
+                FaultHitKind::DeviceLost(_) => {
+                    let Some(new_source) = replacement_source(tasks[idx].owner, &dead) else {
+                        ledger.abandon(idx, Some(p.site), Some(hit), AbandonReason::DataLost);
+                        continue;
+                    };
+                    current[idx].external_source = Some(new_source);
+                    // Site choice against the REMAINING deadline: keep
+                    // the current site if it still fits, else the
+                    // cheapest fitting site, else cloud (runs and
+                    // reports its miss — explicit, not dropped).
+                    let task_costs = mec_sim::cost::evaluate(system, &current[idx])?;
+                    let remaining = tasks[idx].deadline - hit.time;
+                    let site = if task_costs.at(p.site).time <= remaining {
+                        p.site
+                    } else {
+                        task_costs
+                            .cheapest_feasible(remaining)
+                            .unwrap_or(ExecutionSite::Cloud)
+                    };
+                    mec_obs::counter_add("chaos/repair/resourced", 1);
+                    ledger.log(
+                        idx,
+                        hit.time,
+                        Some(hit),
+                        RepairAction::Resourced { new_source, site },
+                    );
+                    if site != p.site {
+                        mec_obs::counter_add("chaos/repair/reassignments", 1);
+                        ledger.log(
+                            idx,
+                            hit.time,
+                            Some(hit),
+                            RepairAction::Reassigned {
+                                from: p.site,
+                                to: site,
+                            },
+                        );
                     }
+                    if site == ExecutionSite::Station {
+                        moved.push(idx);
+                    }
+                    pending.push(Pending {
+                        idx,
+                        site,
+                        release: hit.time,
+                    });
                 }
             }
         }
 
         // Capacity pass: tasks replanned onto their station must fit the
-        // capacity that unaffected tasks left behind, per cluster.
-        // LP-HTA's Step-6 machinery migrates the overflow to the cloud
-        // (never cancels there: cloud capacity is unconstrained).
-        if !moved.is_empty() {
-            // Bucket the committed station tasks and the moved tasks by
-            // station once, each in ascending order, so each station's
-            // residual sum and repair see its own tasks in task order.
-            let station_of = |owner: DeviceId| system.device(owner).map(|d| d.station).ok();
-            let committed_at = Buckets::new(
-                (0..tasks.len())
-                    .filter(|&i| {
-                        !in_wave[i]
-                            && assignment.decision(i) == Decision::Assigned(ExecutionSite::Station)
-                    })
-                    .filter_map(|i| station_of(tasks[i].owner).map(|s| (s, i))),
-            );
-            let idxs: Vec<usize> = moved.iter().map(|&(i, _)| i).collect();
-            let moved_to = Buckets::new(
-                idxs.iter()
-                    .enumerate()
-                    .filter_map(|(k, &idx)| station_of(current[idx].owner).map(|s| (s, k))),
-            );
-            let mut sites: Vec<Option<ExecutionSite>> =
-                moved.iter().map(|&(_, s)| Some(s)).collect();
-            // Every moved task was pushed to `pending` exactly once this
-            // wave; cancelled ones leave it after the pass.
-            let mut slot_of = vec![usize::MAX; tasks.len()];
-            for (slot, p) in pending.iter().enumerate() {
-                slot_of[p.idx] = slot;
+        // capacity that unaffected (non-wave) tasks left behind, per
+        // cluster. LP-HTA's Step-6 machinery migrates the overflow to the
+        // cloud, and cancels a task (`NoFeasibleSite`) whose cloud run
+        // would miss its deadline.
+        if moved.is_empty() {
+            continue;
+        }
+        // Priced after the classification loop, so every moved task's
+        // row reflects its replacement source.
+        let costs = CostTable::build(system, &current)?;
+        let mut in_wave = vec![false; tasks.len()];
+        for p in &wave {
+            in_wave[p.idx] = true;
+        }
+        // Bucket the committed station tasks and the moved tasks by
+        // station once, each in ascending order, so each station's
+        // residual sum and repair see its own tasks in task order.
+        let station_of = |owner: DeviceId| system.device(owner).map(|d| d.station).ok();
+        let committed_at = Buckets::new(
+            (0..tasks.len())
+                .filter(|&i| {
+                    !in_wave[i]
+                        && assignment.decision(i) == Decision::Assigned(ExecutionSite::Station)
+                })
+                .filter_map(|i| station_of(tasks[i].owner).map(|s| (s, i))),
+        );
+        let moved_to = Buckets::new(
+            moved
+                .iter()
+                .enumerate()
+                .filter_map(|(k, &idx)| station_of(current[idx].owner).map(|s| (s, k))),
+        );
+        let mut sites = vec![Some(ExecutionSite::Station); moved.len()];
+        // Every moved task was pushed to `pending` exactly once this
+        // wave; cancelled ones leave it after the pass.
+        let mut slot_of = vec![usize::MAX; tasks.len()];
+        for (slot, p) in pending.iter().enumerate() {
+            slot_of[p.idx] = slot;
+        }
+        let mut cancelled = vec![false; tasks.len()];
+        for station in system.stations() {
+            let members = moved_to.get(station.id);
+            if members.is_empty() {
+                continue;
             }
-            let mut cancelled = vec![false; tasks.len()];
-            for station in system.stations() {
-                let members = moved_to.get(station.id);
-                if members.is_empty() {
-                    continue;
-                }
-                let committed: f64 = committed_at
-                    .get(station.id)
-                    .iter()
-                    .map(|&i| tasks[i].resource.value())
-                    .sum();
-                let residual =
-                    mec_sim::units::Bytes::new((station.max_resource.value() - committed).max(0.0));
-                repair_capacity(
-                    &current,
-                    &costs,
-                    &idxs,
-                    &mut sites,
-                    ExecutionSite::Station,
-                    ExecutionSite::Cloud,
-                    residual,
-                    members,
-                );
-                for &k in members {
-                    let idx = idxs[k];
-                    let p = &mut pending[slot_of[idx]];
-                    match sites[k] {
-                        Some(site) if site != p.site => {
-                            mec_obs::counter_add("chaos/repair/reassignments", 1);
-                            events.push(RepairEvent {
-                                task: tasks[idx].id,
-                                time: p.release,
-                                hit: None,
-                                action: RepairAction::Reassigned {
-                                    from: p.site,
-                                    to: site,
-                                },
-                            });
-                            p.site = site;
-                        }
-                        Some(_) => {}
-                        None => {
-                            let site = p.site;
-                            cancelled[idx] = true;
-                            abandon(
-                                idx,
-                                site,
-                                None,
-                                AbandonReason::NoFeasibleSite,
-                                &mut results,
-                                &mut events,
-                                &energy,
-                                &attempts,
-                                tasks,
-                            );
-                        }
+            let committed: f64 = committed_at
+                .get(station.id)
+                .iter()
+                .map(|&i| tasks[i].resource.value())
+                .sum();
+            let residual = Bytes::new((station.max_resource.value() - committed).max(0.0));
+            repair_capacity(
+                &current,
+                &costs,
+                &moved,
+                &mut sites,
+                ExecutionSite::Station,
+                ExecutionSite::Cloud,
+                residual,
+                members,
+            );
+            for &k in members {
+                let idx = moved[k];
+                let p = &mut pending[slot_of[idx]];
+                match sites[k] {
+                    Some(site) if site != p.site => {
+                        mec_obs::counter_add("chaos/repair/reassignments", 1);
+                        ledger.log(
+                            idx,
+                            p.release,
+                            None,
+                            RepairAction::Reassigned {
+                                from: p.site,
+                                to: site,
+                            },
+                        );
+                        p.site = site;
+                    }
+                    Some(_) => {}
+                    None => {
+                        cancelled[idx] = true;
+                        ledger.abandon(idx, Some(p.site), None, AbandonReason::NoFeasibleSite);
                     }
                 }
             }
-            pending.retain(|p| !cancelled[p.idx]);
         }
+        pending.retain(|p| !cancelled[p.idx]);
     }
 
-    let results: Vec<TaskRepairResult> = results
-        .into_iter()
-        .enumerate()
-        .map(|(idx, r)| {
-            // Structurally guaranteed: every pending task either completes
-            // or is abandoned above. Belt-and-braces for future edits.
-            r.unwrap_or(TaskRepairResult {
-                id: tasks[idx].id,
-                site: None,
-                energy: Joules::new(energy[idx]),
-                attempts: attempts[idx],
-                fate: TaskFate::Failed {
-                    reason: AbandonReason::RetriesExhausted,
-                    last_hit: None,
-                },
-            })
-        })
-        .collect();
-    Ok(ChaosRunReport {
-        results,
-        events,
-        waves,
-    })
-}
-
-/// Re-derives a DTA coverage after `dead` devices dropped: their shares
-/// are redistributed to live owners of the same items (smallest current
-/// share first, lowest device id on ties), keeping the Section IV
-/// conditions intact.
-///
-/// # Errors
-///
-/// * [`AssignError::CoverageMismatch`] when the coverage's share count
-///   disagrees with the universe;
-/// * [`AssignError::Unsupported`] when some required item was held ONLY
-///   by dead devices — the data is gone and the division must be
-///   reported failed, not silently shrunk;
-/// * [`AssignError::InvalidInput`] when the repaired coverage fails
-///   validation (a malformed input coverage).
-pub fn repair_coverage(
-    universe: &DataUniverse,
-    required: &ItemSet,
-    coverage: &Coverage,
-    dead: &[DeviceId],
-) -> Result<Coverage, AssignError> {
-    let _span = mec_obs::span("chaos/repair_coverage");
-    if coverage.shares().len() != universe.num_devices() {
-        return Err(AssignError::CoverageMismatch {
-            devices: universe.num_devices(),
-            shares: coverage.shares().len(),
-        });
-    }
-    // Dense dead mask (was a `BTreeSet`). Out-of-range dead ids cannot
-    // hold a share or inherit items, so clamping them out of the mask
-    // preserves the set-based behavior.
-    let mut is_dead = vec![false; universe.num_devices()];
-    for d in dead {
-        if d.0 < is_dead.len() {
-            is_dead[d.0] = true;
-        }
-    }
-    let mut shares: Vec<ItemSet> = coverage.shares().to_vec();
-    let mut orphaned = ItemSet::new(universe.num_items());
-    for (i, &dead_now) in is_dead.iter().enumerate() {
-        if dead_now {
-            orphaned.union_with(&shares[i]);
-            shares[i] = ItemSet::new(universe.num_items());
-        }
-    }
-    let owners = OwnersIndex::build(universe)?;
-    for item in orphaned.iter() {
-        let heir = owners
-            .owners(item)
-            .iter()
-            .map(|&d| DeviceId(d as usize))
-            .filter(|d| !is_dead[d.0])
-            .min_by_key(|d| (shares[d.0].len(), d.0));
-        match heir {
-            Some(d) => {
-                shares[d.0].insert(item);
-                mec_obs::counter_add("chaos/repair/reassigned_items", 1);
-            }
-            None => {
-                return Err(AssignError::Unsupported {
-                    algorithm: "coverage repair",
-                    reason: format!("required item {item} was held only by dead devices"),
-                });
-            }
-        }
-    }
-    let repaired = Coverage::new(shares);
-    repaired
-        .validate(universe, required)
-        .map_err(|v| AssignError::InvalidInput(format!("repaired coverage invalid: {v}")))?;
-    Ok(repaired)
+    Ok(ledger.into_report(waves))
 }
 
 // JSON codecs so chaos reports land in CHAOS_report.json verbatim.
@@ -761,11 +653,10 @@ djson::impl_json_struct!(ChaosRunReport {
 mod tests {
     use super::*;
     use crate::hta::{HtaAlgorithm, LpHta};
-    use mec_sim::data::DataItemId;
     use mec_sim::radio::NetworkProfile;
     use mec_sim::sim::{Fault, Window};
     use mec_sim::topology::Cloud;
-    use mec_sim::units::{Bytes, Hertz};
+    use mec_sim::units::Hertz;
     use mec_sim::workload::ScenarioConfig;
 
     fn small_system(n: usize) -> MecSystem {
@@ -1186,38 +1077,82 @@ mod tests {
         );
     }
 
+    /// The capacity pass prices a re-sourced task with its NEW source.
+    /// Task 0 reads shared data from device 1 (Wi-Fi), which dies at
+    /// t = 0; the replacement, device 2, uploads over 4G. The deadline
+    /// sits between the task's cloud times with the two sources, and the
+    /// station cannot hold the task: priced with the dead Wi-Fi source the
+    /// cloud would still fit and the task would migrate there, but with
+    /// the 4G source its cloud run misses the deadline, so the pass must
+    /// cancel it.
     #[test]
-    fn coverage_repair_redistributes_dead_shares_to_live_owners() {
-        // Items 0..4; device 0 owns {0,1,2}, device 1 owns {2,3}, device
-        // 2 owns {1,3}.
-        let sizes = vec![Bytes::from_kb(10.0); 4];
-        let ids = |v: &[usize]| {
-            let v = v.to_vec();
-            ItemSet::from_ids(4, v.into_iter().map(DataItemId))
+    fn capacity_pass_prices_moved_tasks_with_their_new_source() {
+        let mut b = MecSystem::builder(Cloud {
+            cpu: Hertz::from_ghz(2.4),
+        });
+        let st = b.add_station(Hertz::from_ghz(4.0), Bytes::from_kb(500.0));
+        for profile in [
+            NetworkProfile::WiFi,
+            NetworkProfile::WiFi,
+            NetworkProfile::FourG,
+        ] {
+            b.add_device(
+                st,
+                Hertz::from_ghz(1.0),
+                profile.link(),
+                Bytes::from_mb(8.0),
+            )
+            .unwrap();
+        }
+        let system = b.build().unwrap();
+        let mut t = task(0, 0, Some(1));
+        t.external_size = Bytes::from_mb(5.0);
+        let priced = |source: usize, site: ExecutionSite| {
+            let mut t = t;
+            t.external_source = Some(DeviceId(source));
+            mec_sim::cost::evaluate(&system, &t).unwrap().at(site).time
         };
-        let holdings = vec![ids(&[0, 1, 2]), ids(&[2, 3]), ids(&[1, 3])];
-        let universe = DataUniverse::new(sizes, holdings).unwrap();
-        let required = ItemSet::full(4);
-        let coverage = Coverage::new(vec![ids(&[0, 2]), ids(&[3]), ids(&[1])]);
-        coverage.validate(&universe, &required).unwrap();
+        let wifi_cloud = priced(1, ExecutionSite::Cloud);
+        let fourg_cloud = priced(2, ExecutionSite::Cloud);
+        let fourg_station = priced(2, ExecutionSite::Station);
+        t.deadline = (wifi_cloud.max(fourg_station) + fourg_cloud) * 0.5;
+        assert!(wifi_cloud <= t.deadline && t.deadline < fourg_cloud);
+        assert!(t.resource > system.stations()[0].max_resource);
 
-        // Device 1 dies: its item 3 must move to device 2 (the only live
-        // owner of 3).
-        let repaired = repair_coverage(&universe, &required, &coverage, &[DeviceId(1)]).unwrap();
-        repaired.validate(&universe, &required).unwrap();
-        assert!(repaired.share(DeviceId(1)).is_empty());
-        assert!(repaired.share(DeviceId(2)).contains(DataItemId(3)));
-
-        // Devices 0 AND 2 die: item 0 has no live owner left.
-        let err = repair_coverage(&universe, &required, &coverage, &[DeviceId(0), DeviceId(2)])
-            .unwrap_err();
-        assert!(matches!(err, AssignError::Unsupported { .. }), "{err}");
-
-        // Malformed: share count disagrees with the universe.
-        let bad = Coverage::new(vec![ids(&[0])]);
+        let faults = FaultPlan::new(
+            &system,
+            vec![Fault::Dropout {
+                device: DeviceId(1),
+                at: Seconds::ZERO,
+            }],
+        )
+        .unwrap();
+        let report = execute_with_repair(
+            &system,
+            &[t],
+            &Assignment::uniform(1, ExecutionSite::Station),
+            Contention::Exclusive,
+            &faults,
+            &RepairPolicy::default(),
+        )
+        .unwrap();
+        let actions: Vec<RepairAction> = report.events.iter().map(|e| e.action).collect();
+        assert_eq!(
+            actions,
+            vec![
+                RepairAction::Resourced {
+                    new_source: DeviceId(2),
+                    site: ExecutionSite::Station,
+                },
+                RepairAction::Abandoned(AbandonReason::NoFeasibleSite),
+            ]
+        );
         assert!(matches!(
-            repair_coverage(&universe, &required, &bad, &[]),
-            Err(AssignError::CoverageMismatch { .. })
+            report.results[0].fate,
+            TaskFate::Failed {
+                reason: AbandonReason::NoFeasibleSite,
+                last_hit: None,
+            }
         ));
     }
 }

@@ -34,7 +34,6 @@ use crate::sim::plan::Resource;
 use crate::topology::{DeviceId, MecSystem};
 use crate::units::Seconds;
 use detrand::ChaCha8Rng;
-use std::collections::BTreeSet;
 
 /// A half-open activity window `[from, until)` in simulated time.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -200,17 +199,22 @@ impl FaultPlan {
         self.faults.is_empty()
     }
 
-    /// Devices with a dropout anywhere in the plan — the set the repair
-    /// layer treats as unusable for replacement data holders.
+    /// Which devices are dead at `now`: a dense mask over device ids
+    /// `0..num_devices`, `true` where a dropout happened at or before
+    /// `now`. Dropouts are permanent, so the mask only grows with `now`;
+    /// `Seconds::new(f64::INFINITY)` gives every device that ever drops.
+    /// Dropouts of ids at or past `num_devices` are left out.
     #[must_use]
-    pub fn dying_devices(&self) -> BTreeSet<DeviceId> {
-        self.faults
-            .iter()
-            .filter_map(|f| match f {
-                Fault::Dropout { device, .. } => Some(*device),
-                _ => None,
-            })
-            .collect()
+    pub fn dead_at(&self, now: Seconds, num_devices: usize) -> Vec<bool> {
+        let mut dead = vec![false; num_devices];
+        for fault in &self.faults {
+            if let Fault::Dropout { device, at } = *fault {
+                if at <= now && device.0 < num_devices {
+                    dead[device.0] = true;
+                }
+            }
+        }
+        dead
     }
 
     /// What (if anything) kills a stage on `resource` starting at `now`.
@@ -558,7 +562,15 @@ mod tests {
         assert_eq!(plan.stretch(Resource::DeviceDown(d), 1.5), 2.0);
         assert_eq!(plan.stretch(Resource::DeviceCpu(d), 1.5), 3.0);
         assert_eq!(plan.stretch(Resource::DeviceCpu(d), 2.5), 1.0);
-        assert_eq!(plan.dying_devices().len(), 1);
+        // The dead mask follows the same at-or-after rule.
+        let n = sys.num_devices();
+        assert!(plan.dead_at(Seconds::new(4.9), n).iter().all(|&dead| !dead));
+        let dead = plan.dead_at(Seconds::new(5.0), n);
+        assert_eq!(dead, plan.dead_at(Seconds::new(f64::INFINITY), n));
+        let dead_ids: Vec<usize> = (0..n).filter(|&i| dead[i]).collect();
+        assert_eq!(dead_ids, vec![1]);
+        // Ids past the mask are left out.
+        assert_eq!(plan.dead_at(Seconds::new(5.0), 1), vec![false]);
     }
 
     #[test]

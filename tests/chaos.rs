@@ -229,10 +229,7 @@ fn chaos_digest(report: &ChaosRunReport) -> u64 {
                 met_deadline,
                 recovered,
                 ..
-            } => format!(
-                "done {:.8e} {met_deadline} {recovered}",
-                completion.value()
-            ),
+            } => format!("done {:.8e} {met_deadline} {recovered}", completion.value()),
             TaskFate::Failed { reason, last_hit } => {
                 format!("{reason:?} {:?}", last_hit.map(|h| h.kind))
             }
