@@ -448,8 +448,7 @@ pub fn serve_with_hook(
         // before the epoch's close time is gone for this epoch.
         let is_dead = plan.dead_at(batch.close_time(), stream.system.num_devices());
 
-        // Ingest churn: cancel dead owners, replan dead data sources to
-        // the lowest live device (deterministic, same rule every epoch).
+        // Ingest churn: cancel dead owners, re-source dead data sources.
         let repair_started = Instant::now();
         let mut outcomes = vec![Outcome::RepairCancelled; batch.tasks.len()];
         let mut live_tasks: Vec<HolisticTask> = Vec::with_capacity(batch.tasks.len());
